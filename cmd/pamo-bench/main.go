@@ -48,23 +48,6 @@ func main() {
 	strict := flag.Bool("strict", false, "run every PaMO invocation under the exact invariant checker in strict mode: feasibility or GP-guard violations abort the figure")
 	flag.Parse()
 
-	if *fleet {
-		runFleet(os.Stdout, *jsonOut, *fast)
-		return
-	}
-	if *shard {
-		runShard(os.Stdout, *jsonOut, *fast)
-		return
-	}
-	if *churn {
-		runChurn(os.Stdout, *jsonOut, *fast)
-		return
-	}
-	if *sparse {
-		runSparse(os.Stdout, *jsonOut, *fast)
-		return
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -91,6 +74,25 @@ func main() {
 				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 			}
 		}()
+	}
+
+	// Profiling covers every mode, so the benchmark modes dispatch only
+	// after it is set up.
+	if *fleet {
+		runFleet(os.Stdout, *jsonOut, *fast)
+		return
+	}
+	if *shard {
+		runShard(os.Stdout, *jsonOut, *fast)
+		return
+	}
+	if *churn {
+		runChurn(os.Stdout, *jsonOut, *fast)
+		return
+	}
+	if *sparse {
+		runSparse(os.Stdout, *jsonOut, *fast)
+		return
 	}
 
 	writeChart := func(name string, c *plot.Chart) {

@@ -139,6 +139,24 @@ func TestCmdPamoBenchSingleFigure(t *testing.T) {
 	}
 }
 
+// TestCmdPamoBenchFleetProfiles guards the benchmark modes' profiling: they
+// dispatch before the figure path, and once returned ahead of the
+// -cpuprofile/-memprofile setup, silently writing no profiles.
+func TestCmdPamoBenchFleetProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the fast fleet benchmark")
+	}
+	bin := buildCmd(t, "pamo-bench")
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	run(t, bin, "-fleet", "-fast", "-json", filepath.Join(dir, "fleet.json"), "-cpuprofile", cpu, "-memprofile", mem)
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty: %v", filepath.Base(p), err)
+		}
+	}
+}
+
 func TestCmdPamoTraceRoundTrip(t *testing.T) {
 	bin := buildCmd(t, "pamo-trace")
 	path := filepath.Join(t.TempDir(), "t.json")

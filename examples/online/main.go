@@ -40,7 +40,7 @@ func main() {
 			cfgs[i] = best
 		}
 		streams := eva.BuildStreams(s, cfgs)
-		plan, err := sched.Schedule(streams, s.Servers)
+		plan, err := sched.Schedule(streams, s.Servers, nil)
 		if err != nil {
 			return eva.Decision{}, err
 		}

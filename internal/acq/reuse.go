@@ -58,8 +58,7 @@ func NewDrawCache(capEntries int) *DrawCache {
 // is treated as a miss, never an error. The returned matrix is shared with
 // the cache: callers must treat it as read-only.
 //
-// TryReuse performs no allocations, so the amortized epoch — probe, reuse,
-// score — stays allocation-free on the acquisition side.
+// TryReuse performs no allocations.
 func (c *DrawCache) TryReuse(key string, probe []float64, tol float64) ([][]float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -111,39 +110,4 @@ func (c *DrawCache) Hits() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits
-}
-
-// ReuseQNEI re-initializes the scorer in place as a qNEI scorer over a new
-// (typically cached) draw matrix, reusing the incumbent and running-max
-// buffers whenever their capacity allows. Together with DrawCache.TryReuse
-// this makes a fully amortized acquisition epoch allocation-free. Mirrors
-// NewSharedQNEI, including the qSR degeneration when obsCols is empty.
-func (sc *SharedScorer) ReuseQNEI(z [][]float64, obsCols []int) {
-	sc.m = z
-	if cap(sc.base) >= len(z) {
-		sc.base = sc.base[:len(z)]
-	} else {
-		sc.base = make([]float64, len(z))
-	}
-	for i := range sc.base {
-		sc.base[i] = math.Inf(-1)
-	}
-	if len(obsCols) == 0 {
-		sc.inc = nil
-		return
-	}
-	if cap(sc.inc) >= len(z) {
-		sc.inc = sc.inc[:len(z)]
-	} else {
-		sc.inc = make([]float64, len(z))
-	}
-	for s, row := range z {
-		best := math.Inf(-1)
-		for _, c := range obsCols {
-			if row[c] > best {
-				best = row[c]
-			}
-		}
-		sc.inc[s] = best
-	}
 }

@@ -85,38 +85,3 @@ func TestDrawCacheFIFOEviction(t *testing.T) {
 		t.Fatal("re-stored entry lookup failed")
 	}
 }
-
-// TestReuseQNEIMatchesNew pins the in-place scorer rebuild to the fresh
-// constructor: same draws, same observation columns, same scores — including
-// the qSR degeneration with no observation columns, and after the buffers
-// were dirtied by a previous batch.
-func TestReuseQNEIMatchesNew(t *testing.T) {
-	z1 := testDraws(7, 32, 12)
-	z2 := testDraws(8, 32, 12)
-	obsCols := []int{9, 10, 11}
-
-	sc := NewSharedQNEI(z1, obsCols)
-	sc.Add(0)
-	sc.Add(3) // dirty the running max
-
-	sc.ReuseQNEI(z2, obsCols)
-	ref := NewSharedQNEI(z2, obsCols)
-	for c := 0; c < 9; c++ {
-		if got, want := sc.Score(c), ref.Score(c); got != want {
-			t.Fatalf("col %d: reuse score %v vs fresh %v", c, got, want)
-		}
-	}
-	sc.Add(2)
-	ref.Add(2)
-	if got, want := sc.Score(5), ref.Score(5); got != want {
-		t.Fatalf("post-Add score %v vs %v", got, want)
-	}
-
-	sc.ReuseQNEI(z1, nil)
-	refSR := NewSharedQSR(z1)
-	for c := 0; c < 12; c++ {
-		if got, want := sc.Score(c), refSR.Score(c); got != want {
-			t.Fatalf("qSR col %d: reuse score %v vs fresh %v", c, got, want)
-		}
-	}
-}

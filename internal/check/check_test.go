@@ -57,7 +57,7 @@ func TestRejectsPlanTheFloatCheckAccepted(t *testing.T) {
 	}
 	rec := obs.NewRecorder(nil)
 	chk := New(true, rec)
-	err := chk.VerifyAssignment(streams, assign, 1)
+	err := chk.VerifyAssignmentServers(streams, assign, make([]cluster.Server, 1))
 	var v *Violation
 	if !errors.As(err, &v) || v.Invariant != "const2" {
 		t.Fatalf("exact verifier returned %v, want const2 violation", err)
@@ -76,7 +76,7 @@ func TestNonStrictRecordsButReturnsNil(t *testing.T) {
 	}
 	rec := obs.NewRecorder(nil)
 	chk := New(false, rec)
-	if err := chk.VerifyAssignment(streams, []int{0}, 1); err != nil {
+	if err := chk.VerifyAssignmentServers(streams, []int{0}, make([]cluster.Server, 1)); err != nil {
 		t.Fatalf("non-strict checker returned error: %v", err)
 	}
 	if chk.Violations() != 1 {
@@ -86,7 +86,7 @@ func TestNonStrictRecordsButReturnsNil(t *testing.T) {
 
 func TestNilCheckerIsNoop(t *testing.T) {
 	var chk *Checker
-	if err := chk.VerifyAssignment(nil, nil, 0); err != nil {
+	if err := chk.VerifyAssignmentServers(nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := chk.VerifyDecision(eva.Decision{}, 0); err != nil {
@@ -137,7 +137,7 @@ func TestVerifyAssignmentDiagnoses(t *testing.T) {
 		}, []int{0, 0}, 1, "const2"},
 	}
 	for _, tc := range cases {
-		err := chk.VerifyAssignment(tc.streams, tc.assign, tc.n)
+		err := chk.VerifyAssignmentServers(tc.streams, tc.assign, make([]cluster.Server, tc.n))
 		if tc.invariant == "" {
 			if err != nil {
 				t.Fatalf("%s: unexpected violation %v", tc.name, err)
@@ -292,11 +292,11 @@ func TestAlgorithm1PlansAlwaysPass(t *testing.T) {
 		{Video: 2, Period: sched.RatFromFPS(15), Proc: 0.1, Bits: 1e5}, // s·p = 1.5 → splits in 2
 	})
 	servers := []cluster.Server{{Uplink: 1e7}, {Uplink: 2e7}, {Uplink: 3e7}}
-	plan, err := sched.Schedule(streams, servers)
+	plan, err := sched.Schedule(streams, servers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chk.VerifyAssignment(streams, plan.StreamServer, len(servers)); err != nil {
+	if err := chk.VerifyAssignmentServers(streams, plan.StreamServer, servers); err != nil {
 		t.Fatalf("Algorithm 1 plan failed the exact checks: %v", err)
 	}
 }

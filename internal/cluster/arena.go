@@ -19,7 +19,7 @@ import (
 // the fault-tolerant runtime keeps one per server worker. The Result
 // returned by Arena.SimulateServer aliases the arena's buffers and is valid
 // only until the next call on the same arena; callers that retain frames or
-// stats across epochs must copy them out.
+// stats across calls must copy them out, or use a fresh arena per call.
 type Arena struct {
 	tx        []float64
 	next      []int
@@ -31,8 +31,11 @@ type Arena struct {
 // NewArena returns an empty arena; buffers grow on first use.
 func NewArena() *Arena { return &Arena{} }
 
+// growStreams sizes the per-stream buffers to n. Empty workloads still get
+// non-nil (zero-length) slices, so a fresh and a reused arena return
+// identical results.
 func (a *Arena) growStreams(n int) {
-	if cap(a.tx) < n {
+	if a.tx == nil || cap(a.tx) < n {
 		a.tx = make([]float64, n)
 		a.next = make([]int, n)
 		a.per = make([]StreamStats, n)
@@ -44,11 +47,18 @@ func (a *Arena) growStreams(n int) {
 	a.completed = a.completed[:n]
 }
 
-// SimulateServer is SimulateServer computing into the arena's buffers. The
-// simulated records and statistics are bit-identical to the package-level
-// function; only the memory they live in differs (see the ownership rules
-// on Arena).
-func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
+// SimulateServer runs all streams on a single server for the given horizon
+// (seconds). Frames are served in arrival order (FIFO, non-preemptive);
+// ties in arrival time are broken by stream index, which matches a
+// deterministic NIC delivering interleaved packets. Service time scales
+// with the server's speed class.
+//
+// With a non-nil rec, the run emits one "cluster.server" event (server
+// index, utilization, max jitter, max wait, frame count) attributed to the
+// span carried by ctx, and feeds the cluster_server_utilization and
+// cluster_server_jitter_seconds histograms of rec's registry. A nil rec
+// means no telemetry, and a warm arena then allocates nothing.
+func (a *Arena) SimulateServer(ctx context.Context, streams []StreamSpec, srv Server, horizon float64, rec *obs.Recorder, server int) Result {
 	if horizon <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive horizon %v", horizon))
 	}
@@ -67,9 +77,10 @@ func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64
 			total += int(n)
 		}
 	}
-	// Same k-way arrival merge as SimulateServer: each stream's arrivals are
-	// already sorted, ties break toward the lower stream index.
-	if cap(a.frames) < total {
+	// Each stream emits frames in increasing arrival order (its uplink delay
+	// is constant), so a k-way merge produces the global FIFO arrival order
+	// directly — no sort. Arrival ties break toward the lower stream index.
+	if a.frames == nil || cap(a.frames) < total {
 		a.frames = make([]FrameRecord, 0, total)
 	}
 	frames := a.frames[:0]
@@ -101,8 +112,8 @@ func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64
 	}
 	a.frames = frames
 
-	// Speed-scaled service, mirroring the package-level SimulateServer
-	// operation for operation (division by speed 1 is an exact identity).
+	// At the homogeneous default (speed 1) the division is an exact
+	// identity, so golden traces are bit-identical.
 	spd := srv.Speed()
 	free := 0.0
 	busy := 0.0
@@ -114,12 +125,14 @@ func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64
 		free = f.Finish
 		busy += proc
 	}
-	return a.summarizeInto(frames, streams, horizon, busy)
+	res := a.summarize(frames, streams, horizon, busy)
+	recordServerResult(ctx, rec, server, len(streams), res)
+	return res
 }
 
-// summarizeInto is summarize writing the per-stream statistics into the
-// arena's slots instead of fresh slices.
-func (a *Arena) summarizeInto(frames []FrameRecord, streams []StreamSpec, horizon, busy float64) Result {
+// summarize aggregates simulated frames into per-stream statistics, written
+// into the arena's summary slots (sized by growStreams).
+func (a *Arena) summarize(frames []FrameRecord, streams []StreamSpec, horizon, busy float64) Result {
 	res := Result{Frames: frames, PerStream: a.per}
 	completed := a.completed
 	for si := range streams {
@@ -154,46 +167,20 @@ func (a *Arena) summarizeInto(frames []FrameRecord, streams []StreamSpec, horizo
 	return res
 }
 
-// SimulateServerRecorded is SimulateServerRecorded running through the
-// arena: identical simulation and telemetry, reused buffers.
-func (a *Arena) SimulateServerRecorded(streams []StreamSpec, srv Server, horizon float64, rec *obs.Recorder, server int) Result {
-	return a.SimulateServerRecordedCtx(context.Background(), streams, srv, horizon, rec, server)
-}
-
-// SimulateServerRecordedCtx is SimulateServerRecorded with trace-context
-// propagation, mirroring the package-level SimulateServerRecordedCtx.
-func (a *Arena) SimulateServerRecordedCtx(ctx context.Context, streams []StreamSpec, srv Server, horizon float64, rec *obs.Recorder, server int) Result {
-	res := a.SimulateServer(streams, srv, horizon)
-	recordServerResult(ctx, rec, server, len(streams), res)
-	return res
-}
-
-// ZeroJitterOffsetsInPlace applies the Theorem 1 offsets of
-// ZeroJitterOffsets directly to streams, allocating nothing. The computed
-// offsets are bit-identical to the copying variant.
-func ZeroJitterOffsetsInPlace(streams []StreamSpec, uplink float64) {
-	ZeroJitterOffsetsInPlaceOn(streams, Server{Uplink: uplink})
-}
-
-// ZeroJitterOffsetsInPlaceOn is ZeroJitterOffsetsOn writing directly into
-// streams, allocating nothing: the slot train accumulates the server's
-// effective service times p_i/speed.
-func ZeroJitterOffsetsInPlaceOn(streams []StreamSpec, srv Server) {
-	uplink := srv.Uplink
-	spd := srv.Speed()
-	var maxTx float64
-	for _, s := range streams {
-		if uplink > 0 {
-			maxTx = math.Max(maxTx, s.Bits/uplink)
-		}
+// recordServerResult emits the per-server DES telemetry. Nil rec: no-op.
+// Safe to call from concurrent per-server goroutines.
+func recordServerResult(ctx context.Context, rec *obs.Recorder, server, nStreams int, res Result) {
+	if rec == nil {
+		return
 	}
-	acc := 0.0
-	for i := range streams {
-		tx := 0.0
-		if uplink > 0 {
-			tx = streams[i].Bits / uplink
-		}
-		streams[i].Offset = maxTx + acc - tx
-		acc += streams[i].Proc / spd
-	}
+	reg := rec.Registry()
+	reg.Histogram("cluster_server_utilization", obs.UnitBuckets).Observe(res.Utilization)
+	reg.Histogram("cluster_server_jitter_seconds", obs.DefBuckets).Observe(res.MaxJitter)
+	rec.EventCtx(ctx, "cluster.server",
+		obs.F("server", float64(server)),
+		obs.F("streams", float64(nStreams)),
+		obs.F("frames", float64(len(res.Frames))),
+		obs.F("utilization", res.Utilization),
+		obs.F("max_jitter", res.MaxJitter),
+		obs.F("max_wait", res.MaxWait))
 }

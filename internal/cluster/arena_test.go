@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -20,56 +21,61 @@ func arenaWorkload(n int) ([]StreamSpec, Server) {
 	return streams, Server{Uplink: 40e6}
 }
 
-// TestArenaMatchesSimulateServer pins the arena path bit-exact against the
-// allocating simulator across repeated reuse, shrinking workloads, and a
-// zero-uplink server.
-func TestArenaMatchesSimulateServer(t *testing.T) {
+// TestArenaReuseMatchesFresh pins buffer reuse — the only thing a reused
+// arena can get wrong — against a fresh arena per call: one arena runs a
+// sequence of growing, shrinking and empty stream sets at several speed
+// classes (including the zero-value default), and every result must be
+// deeply equal to the same simulation on a never-used arena.
+func TestArenaReuseMatchesFresh(t *testing.T) {
 	a := NewArena()
-	cases := []struct {
-		n       int
-		srv     Server
-		horizon float64
-	}{
-		{12, Server{Uplink: 40e6}, 3},
-		{12, Server{Uplink: 40e6}, 3}, // same size: buffers warm
-		{5, Server{Uplink: 0}, 2},     // shrink + no uplink
-		{20, Server{Uplink: 15e6}, 1.5},
-		{0, Server{Uplink: 1e6}, 1}, // empty server
-	}
-	for ci, tc := range cases {
-		streams, _ := arenaWorkload(tc.n)
-		want := SimulateServer(streams, tc.srv, tc.horizon)
-		got := a.SimulateServer(streams, tc.srv, tc.horizon)
-		if !reflect.DeepEqual(want.Frames, got.Frames) {
-			t.Fatalf("case %d: frames diverged (%d vs %d records)", ci, len(want.Frames), len(got.Frames))
-		}
-		if !reflect.DeepEqual(want.PerStream, got.PerStream) {
-			t.Fatalf("case %d: per-stream stats diverged:\n%+v\n%+v", ci, want.PerStream, got.PerStream)
-		}
-		if want.MaxJitter != got.MaxJitter || want.MaxWait != got.MaxWait || want.Utilization != got.Utilization {
-			t.Fatalf("case %d: aggregates diverged: %+v vs %+v", ci, want, got)
+	sizes := []int{12, 12, 20, 5, 0, 16, 1, 0, 24}
+	uplinks := []float64{40e6, 0, 15e6}
+	for ci, n := range sizes {
+		for si, speed := range []float64{0, 1, 0.5, 2} {
+			streams, _ := arenaWorkload(n)
+			srv := Server{Uplink: uplinks[(ci+si)%len(uplinks)], SpeedFactor: speed}
+			horizon := 1 + 0.5*float64(ci%4)
+			got := a.SimulateServer(context.Background(), streams, srv, horizon, nil, 0)
+			want := NewArena().SimulateServer(context.Background(), streams, srv, horizon, nil, 0)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d (n=%d, speed %g): reused arena diverged from a fresh one:\n%+v\n%+v",
+					ci, n, speed, got.PerStream, want.PerStream)
+			}
 		}
 	}
 }
 
-// TestZeroJitterOffsetsInPlace pins the in-place offsets bit-exact against
-// the copying variant.
-func TestZeroJitterOffsetsInPlace(t *testing.T) {
-	for _, uplink := range []float64{25e6, 0} {
-		streams, _ := arenaWorkload(9)
-		want := ZeroJitterOffsets(streams, uplink)
-		ZeroJitterOffsetsInPlace(streams, uplink)
+// TestZeroJitterOffsetsSlotTrain pins the offsets' contract: they are written
+// into the caller's slice, the slot train uses effective service times
+// p/speed, and the result simulates without jitter on both a transmitting
+// and a zero-uplink server.
+func TestZeroJitterOffsetsSlotTrain(t *testing.T) {
+	for _, srv := range []Server{{Uplink: 25e6}, {Uplink: 0}, {Uplink: 25e6, SpeedFactor: 2}} {
+		streams, _ := arenaWorkload(3)
 		for i := range streams {
-			if streams[i].Offset != want[i].Offset {
-				t.Fatalf("uplink %g: offset[%d] = %g, want %g", uplink, i, streams[i].Offset, want[i].Offset)
+			streams[i].Period = 0.2
+			streams[i].Offset = -1
+		}
+		ZeroJitterOffsets(streams, srv)
+		maxTx := 0.0
+		if srv.Uplink > 0 {
+			for _, s := range streams {
+				maxTx = math.Max(maxTx, s.Bits/srv.Uplink)
 			}
 		}
-		// The in-place schedule must still be zero-jitter when simulated.
-		if uplink > 0 {
-			res := SimulateServer(streams, Server{Uplink: uplink}, 5)
-			if res.MaxJitter > JitterEps {
-				t.Fatalf("in-place offsets jitter %g", res.MaxJitter)
+		acc := 0.0
+		for i, s := range streams {
+			tx := 0.0
+			if srv.Uplink > 0 {
+				tx = s.Bits / srv.Uplink
 			}
+			if want := maxTx + acc - tx; s.Offset != want {
+				t.Fatalf("server %+v: offset[%d] = %g, want %g", srv, i, s.Offset, want)
+			}
+			acc += s.Proc / srv.Speed()
+		}
+		if res := simulate(streams, srv, 5); res.MaxJitter > JitterEps {
+			t.Fatalf("server %+v: in-place offsets jitter %g", srv, res.MaxJitter)
 		}
 	}
 }
@@ -80,12 +86,12 @@ func TestZeroJitterOffsetsInPlace(t *testing.T) {
 func TestArenaResultAliasing(t *testing.T) {
 	a := NewArena()
 	streams, srv := arenaWorkload(4)
-	r1 := a.SimulateServer(streams, srv, 2)
+	r1 := a.SimulateServer(context.Background(), streams, srv, 2, nil, 0)
 	first := math.NaN()
 	if len(r1.Frames) > 0 {
 		first = r1.Frames[0].Finish
 	}
-	r2 := a.SimulateServer(streams, srv, 2)
+	r2 := a.SimulateServer(context.Background(), streams, srv, 2, nil, 0)
 	if len(r1.Frames) > 0 && len(r2.Frames) > 0 && &r1.Frames[0] != &r2.Frames[0] {
 		t.Fatal("expected results from one arena to alias the same buffers")
 	}

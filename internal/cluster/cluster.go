@@ -8,6 +8,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -44,12 +45,12 @@ func (s Server) Speed() float64 {
 
 // FrameRecord is the simulated life of one frame.
 type FrameRecord struct {
-	Stream   int
-	Seq      int
-	Capture  float64 // capture instant at the camera
-	Arrive   float64 // arrival at the server (capture + transmission)
-	Start    float64 // inference start
-	Finish   float64 // inference completion
+	Stream  int
+	Seq     int
+	Capture float64 // capture instant at the camera
+	Arrive  float64 // arrival at the server (capture + transmission)
+	Start   float64 // inference start
+	Finish  float64 // inference completion
 }
 
 // Latency returns the frame's end-to-end latency (capture to completion).
@@ -82,117 +83,14 @@ type Result struct {
 // it absorbs float accumulation over the horizon.
 const JitterEps = 1e-6
 
-// SimulateServer runs all streams on a single server for the given horizon
-// (seconds). Frames are served in arrival order (FIFO, non-preemptive);
-// ties in arrival time are broken by stream index, which matches a
-// deterministic NIC delivering interleaved packets.
-func SimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
-	if horizon <= 0 {
-		panic(fmt.Sprintf("cluster: non-positive horizon %v", horizon))
-	}
-	tx := make([]float64, len(streams))
-	total := 0
-	for si, s := range streams {
-		if s.Period <= 0 {
-			panic(fmt.Sprintf("cluster: stream %d has period %v", si, s.Period))
-		}
-		if srv.Uplink > 0 {
-			tx[si] = s.Bits / srv.Uplink
-		}
-		if n := math.Ceil((horizon - s.Offset) / s.Period); n > 0 {
-			total += int(n)
-		}
-	}
-	// Each stream emits frames in increasing arrival order (its uplink delay
-	// is constant), so a k-way merge produces the global FIFO arrival order
-	// directly — no sort. Arrival ties break toward the lower stream index,
-	// matching a deterministic NIC delivering interleaved packets.
-	frames := make([]FrameRecord, 0, total)
-	next := make([]int, len(streams))
-	for {
-		best, bestArr := -1, math.Inf(1)
-		for si := range streams {
-			cap := streams[si].Offset + float64(next[si])*streams[si].Period
-			if cap >= horizon {
-				continue
-			}
-			if arr := cap + tx[si]; arr < bestArr {
-				best, bestArr = si, arr
-			}
-		}
-		if best < 0 {
-			break
-		}
-		frames = append(frames, FrameRecord{
-			Stream:  best,
-			Seq:     next[best],
-			Capture: streams[best].Offset + float64(next[best])*streams[best].Period,
-			Arrive:  bestArr,
-		})
-		next[best]++
-	}
-
-	// Service time scales with the server's speed class. At the
-	// homogeneous default (speed 1) the division is an exact identity, so
-	// golden traces are bit-identical.
-	spd := srv.Speed()
-	free := 0.0
-	busy := 0.0
-	for i := range frames {
-		f := &frames[i]
-		f.Start = math.Max(f.Arrive, free)
-		proc := streams[f.Stream].Proc / spd
-		f.Finish = f.Start + proc
-		free = f.Finish
-		busy += proc
-	}
-
-	return summarize(frames, streams, horizon, busy)
-}
-
-// summarize aggregates simulated frames into per-stream statistics.
-func summarize(frames []FrameRecord, streams []StreamSpec, horizon, busy float64) Result {
-	res := Result{Frames: frames, PerStream: make([]StreamStats, len(streams))}
-	for si := range streams {
-		st := &res.PerStream[si]
-		st.MinLat = math.Inf(1)
-	}
-	completed := make([]int, len(streams))
-	for _, f := range frames {
-		st := &res.PerStream[f.Stream]
-		st.Frames++
-		l := f.Latency()
-		st.MeanLat += l
-		st.MinLat = math.Min(st.MinLat, l)
-		st.MaxLat = math.Max(st.MaxLat, l)
-		st.MaxWait = math.Max(st.MaxWait, f.Wait())
-		if f.Finish <= horizon {
-			completed[f.Stream]++
-		}
-	}
-	for si := range res.PerStream {
-		st := &res.PerStream[si]
-		if st.Frames > 0 {
-			st.MeanLat /= float64(st.Frames)
-			st.Jitter = st.MaxLat - st.MinLat
-			st.Throughput = float64(completed[si]) / horizon
-		} else {
-			st.MinLat = 0
-		}
-		res.MaxJitter = math.Max(res.MaxJitter, st.Jitter)
-		res.MaxWait = math.Max(res.MaxWait, st.MaxWait)
-	}
-	res.Utilization = busy / horizon
-	return res
-}
-
 // Assignment maps each stream index to a server index (or -1 = unassigned,
 // which drops the stream from the simulation).
 type Assignment []int
 
 // SimulateCluster partitions the streams by assignment and simulates each
 // server independently (uplinks are dedicated per-camera channels, as in
-// the paper's model where only server uplink bandwidth matters).
+// the paper's model where only server uplink bandwidth matters). Each
+// server gets a fresh arena, so the returned results own their buffers.
 func SimulateCluster(streams []StreamSpec, servers []Server, assign Assignment, horizon float64) []Result {
 	if len(assign) != len(streams) {
 		panic(fmt.Sprintf("cluster: %d assignments for %d streams", len(assign), len(streams)))
@@ -205,7 +103,7 @@ func SimulateCluster(streams []StreamSpec, servers []Server, assign Assignment, 
 				sub = append(sub, streams[i])
 			}
 		}
-		out[j] = SimulateServer(sub, servers[j], horizon)
+		out[j] = NewArena().SimulateServer(context.Background(), sub, servers[j], horizon, nil, j)
 	}
 	return out
 }
@@ -236,28 +134,36 @@ func MeanLatency(results []Result) float64 {
 	return sum / float64(n)
 }
 
-// ZeroJitterOffsets assigns capture offsets so that the streams' *server
-// arrivals* follow the pattern prescribed by the proof of Theorem 1:
-// a(τ₁) = C, a(τ_k) = C + Σ_{i<k} p_i. Streams must already be grouped so
-// that Σ p_i ≤ gcd of the periods; the offsets then guarantee that no two
-// frames ever contend on the server.
+// ZeroJitterOffsets rewrites the streams' capture offsets in place so that
+// their *server arrivals* follow the pattern prescribed by the proof of
+// Theorem 1: a(τ₁) = C, a(τ_k) = C + Σ_{i<k} p_i/speed. Streams must
+// already be grouped so that Σ p_i ≤ gcd(T)·speed (the speed-scaled
+// Const2); the offsets then guarantee that no two frames ever contend on
+// the server. The slot train accumulates the server's *effective* service
+// times p_i/speed, which is what the proof needs: the k-th stream's frame
+// must arrive exactly when the server finishes the previous k-1 frames. At
+// speed 1 the division is an exact identity.
 //
 // Because a frame reaches the server one transmission delay after capture,
 // the capture offset compensates for the per-stream delay bits/uplink; the
-// common shift C = max(tx) keeps all capture offsets non-negative.
-func ZeroJitterOffsets(streams []StreamSpec, uplink float64) []StreamSpec {
-	return ZeroJitterOffsetsOn(streams, Server{Uplink: uplink})
-}
-
-// ZeroJitterOffsetsOn is ZeroJitterOffsets for a heterogeneous server: the
-// back-to-back slot accumulation uses the server's *effective* service
-// times p_i/speed, which is what Theorem 1's proof actually needs — the
-// k-th stream's frame must arrive exactly when the server finishes the
-// previous k-1 frames of the slot train. The grouping side of the
-// guarantee is the speed-scaled Const2: Σ p_i ≤ gcd(T) · speed. At
-// speed 1 the offsets are bit-identical to the homogeneous variant.
-func ZeroJitterOffsetsOn(streams []StreamSpec, srv Server) []StreamSpec {
-	out := append([]StreamSpec(nil), streams...)
-	ZeroJitterOffsetsInPlaceOn(out, srv)
-	return out
+// common shift C = max(tx) keeps all capture offsets non-negative. It
+// allocates nothing.
+func ZeroJitterOffsets(streams []StreamSpec, srv Server) {
+	uplink := srv.Uplink
+	spd := srv.Speed()
+	var maxTx float64
+	for _, s := range streams {
+		if uplink > 0 {
+			maxTx = math.Max(maxTx, s.Bits/uplink)
+		}
+	}
+	acc := 0.0
+	for i := range streams {
+		tx := 0.0
+		if uplink > 0 {
+			tx = streams[i].Bits / uplink
+		}
+		streams[i].Offset = maxTx + acc - tx
+		acc += streams[i].Proc / spd
+	}
 }

@@ -9,7 +9,7 @@ import (
 func TestSingleStreamNoContention(t *testing.T) {
 	streams := []StreamSpec{{Name: "v1", Period: 0.2, Proc: 0.05, Bits: 1e5}}
 	srv := Server{Name: "e1", Uplink: 1e7} // tx = 0.01 s
-	res := SimulateServer(streams, srv, 10)
+	res := simulate(streams, srv, 10)
 	if res.PerStream[0].Frames != 50 {
 		t.Fatalf("frames = %d, want 50", res.PerStream[0].Frames)
 	}
@@ -29,7 +29,7 @@ func TestOverloadAccumulatesLatency(t *testing.T) {
 	// Figure 3(a): a stream whose processing time exceeds its period
 	// accumulates latency without bound.
 	streams := []StreamSpec{{Name: "v2", Period: 0.1, Proc: 0.15, Bits: 0}}
-	res := SimulateServer(streams, Server{Uplink: 0}, 20)
+	res := simulate(streams, Server{Uplink: 0}, 20)
 	st := res.PerStream[0]
 	if st.MaxLat < 5.0 {
 		t.Fatalf("overloaded stream max latency %v, want growing into seconds", st.MaxLat)
@@ -51,7 +51,7 @@ func TestContentionBetweenTwoStreams(t *testing.T) {
 		{Name: "v2", Period: 0.1, Proc: 0.08, Bits: 0},
 	}
 	// Σ p·s = 0.5 + 0.8 = 1.3 > 1 → overload → growing delays.
-	res := SimulateServer(streams, Server{Uplink: 0}, 30)
+	res := simulate(streams, Server{Uplink: 0}, 30)
 	if res.MaxWait < 1 {
 		t.Fatalf("expected queueing under overload, max wait %v", res.MaxWait)
 	}
@@ -68,7 +68,7 @@ func TestDelayJitterFromPoorGrouping(t *testing.T) {
 		{Name: "v3", Period: 0.2, Proc: 0.05, Bits: 0},
 	}
 	// Σ p = 0.17 > gcd(0.3, 0.2) = 0.1 → Const2 violated → jitter expected.
-	res := SimulateServer(bad, Server{Uplink: 0}, 60)
+	res := simulate(bad, Server{Uplink: 0}, 60)
 	if res.MaxJitter <= JitterEps {
 		t.Fatalf("expected jitter from poor grouping, got %v", res.MaxJitter)
 	}
@@ -84,7 +84,8 @@ func TestZeroJitterTheorem1(t *testing.T) {
 	}
 	// gcd(0.2, 0.4, 0.2) = 0.2 ≥ 0.04+0.06+0.05 = 0.15 ✓
 	srv := Server{Uplink: 1e7}
-	res := SimulateServer(ZeroJitterOffsets(streams, srv.Uplink), srv, 50)
+	ZeroJitterOffsets(streams, srv)
+	res := simulate(streams, srv, 50)
 	if res.MaxWait > JitterEps {
 		t.Fatalf("max wait = %v, want 0", res.MaxWait)
 	}
@@ -123,7 +124,8 @@ func TestZeroJitterTheorem1Property(t *testing.T) {
 			streams[i].Proc = 0.95 * gcd * shares[i] / tot
 		}
 		srv := Server{Uplink: 1e7}
-		res := SimulateServer(ZeroJitterOffsets(streams, srv.Uplink), srv, 20)
+		ZeroJitterOffsets(streams, srv)
+		res := simulate(streams, srv, 20)
 		return res.MaxJitter <= JitterEps && res.MaxWait <= JitterEps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -165,9 +167,9 @@ func TestUnassignedStreamDropped(t *testing.T) {
 }
 
 func TestSimulatePanicsOnBadInput(t *testing.T) {
-	mustPanic(t, func() { SimulateServer(nil, Server{}, 0) })
+	mustPanic(t, func() { simulate(nil, Server{}, 0) })
 	mustPanic(t, func() {
-		SimulateServer([]StreamSpec{{Period: 0}}, Server{}, 1)
+		simulate([]StreamSpec{{Period: 0}}, Server{}, 1)
 	})
 	mustPanic(t, func() {
 		SimulateCluster([]StreamSpec{{Period: 1}}, nil, Assignment{}, 1)
@@ -186,7 +188,7 @@ func mustPanic(t *testing.T, f func()) {
 
 func TestTransmissionDelayIncludedInLatency(t *testing.T) {
 	streams := []StreamSpec{{Period: 1, Proc: 0.01, Bits: 1e6}}
-	res := SimulateServer(streams, Server{Uplink: 1e6}, 5) // tx = 1 s
+	res := simulate(streams, Server{Uplink: 1e6}, 5) // tx = 1 s
 	if math.Abs(res.PerStream[0].MeanLat-1.01) > 1e-9 {
 		t.Fatalf("latency = %v, want 1.01", res.PerStream[0].MeanLat)
 	}
@@ -235,6 +237,6 @@ func BenchmarkSimulateServer(b *testing.B) {
 	srv := Server{Uplink: 1e7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SimulateServer(streams, srv, 60)
+		simulate(streams, srv, 60)
 	}
 }

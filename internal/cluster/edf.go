@@ -81,7 +81,9 @@ func SimulateServerEDF(streams []StreamSpec, srv Server, horizon float64) Result
 		served++
 	}
 
-	return summarize(frames, streams, horizon, busy)
+	a := NewArena()
+	a.growStreams(len(streams))
+	return a.summarize(frames, streams, horizon, busy)
 }
 
 // edfQueue is a min-heap of frame indices keyed by deadline.
@@ -99,8 +101,8 @@ func (q *edfQueue) Less(a, b int) bool {
 	}
 	return q.items[a] < q.items[b]
 }
-func (q *edfQueue) Swap(a, b int)       { q.items[a], q.items[b] = q.items[b], q.items[a] }
-func (q *edfQueue) Push(x any)          { q.items = append(q.items, x.(int)) }
+func (q *edfQueue) Swap(a, b int) { q.items[a], q.items[b] = q.items[b], q.items[a] }
+func (q *edfQueue) Push(x any)    { q.items = append(q.items, x.(int)) }
 func (q *edfQueue) Pop() any {
 	n := len(q.items)
 	v := q.items[n-1]

@@ -9,7 +9,7 @@ import (
 func TestEDFMatchesFIFOWithoutContention(t *testing.T) {
 	streams := []StreamSpec{{Period: 0.2, Proc: 0.05, Bits: 1e5}}
 	srv := Server{Uplink: 1e7}
-	fifo := SimulateServer(streams, srv, 10)
+	fifo := simulate(streams, srv, 10)
 	edf := SimulateServerEDF(streams, srv, 10)
 	if fifo.PerStream[0].Frames != edf.PerStream[0].Frames {
 		t.Fatalf("frame counts differ: %d vs %d", fifo.PerStream[0].Frames, edf.PerStream[0].Frames)
@@ -25,10 +25,10 @@ func TestEDFPrioritizesUrgentFrames(t *testing.T) {
 	// deadline) arriving together: EDF serves the fast one first, FIFO
 	// serves by arrival order (tie → lower stream index first).
 	streams := []StreamSpec{
-		{Period: 1.0, Proc: 0.05},  // stream 0: deadline +1.0
-		{Period: 0.1, Proc: 0.05},  // stream 1: deadline +0.1
+		{Period: 1.0, Proc: 0.05}, // stream 0: deadline +1.0
+		{Period: 0.1, Proc: 0.05}, // stream 1: deadline +0.1
 	}
-	fifo := SimulateServer(streams, Server{}, 0.5)
+	fifo := simulate(streams, Server{}, 0.5)
 	edf := SimulateServerEDF(streams, Server{}, 0.5)
 	// Under FIFO the t=0 tie goes to stream 0; under EDF to stream 1.
 	if fifo.Frames[0].Stream != 0 {
@@ -79,7 +79,8 @@ func TestEDFZeroJitterUnderConst2(t *testing.T) {
 		{Period: 0.4, Proc: 0.06, Bits: 4e4},
 	}
 	srv := Server{Uplink: 1e7}
-	res := SimulateServerEDF(ZeroJitterOffsets(streams, srv.Uplink), srv, 30)
+	ZeroJitterOffsets(streams, srv)
+	res := SimulateServerEDF(streams, srv, 30)
 	if res.MaxJitter > JitterEps || res.MaxWait > JitterEps {
 		t.Fatalf("jitter %v wait %v", res.MaxJitter, res.MaxWait)
 	}
@@ -99,7 +100,7 @@ func TestEDFConservationProperty(t *testing.T) {
 				Offset: rng.Float64() * 0.1,
 			})
 		}
-		fifo := SimulateServer(streams, Server{}, 5)
+		fifo := simulate(streams, Server{}, 5)
 		edf := SimulateServerEDF(streams, Server{}, 5)
 		if len(fifo.Frames) != len(edf.Frames) {
 			return false

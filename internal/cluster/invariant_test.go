@@ -4,6 +4,7 @@
 package cluster_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/check"
@@ -13,9 +14,10 @@ import (
 )
 
 // TestVerifiedPlanSimulatesZeroJitter closes the loop between the exact
-// verifier and the simulator: a plan that VerifyAssignment accepts, with the
-// Theorem 1 offsets applied, must show (numerically) zero delay jitter in
-// simulation, and ObserveJitter must agree that the zero-jitter claim holds.
+// verifier and the simulator: a plan that VerifyAssignmentServers accepts,
+// with the Theorem 1 offsets applied, must show (numerically) zero delay
+// jitter in simulation, and ObserveJitter must agree that the zero-jitter
+// claim holds.
 func TestVerifiedPlanSimulatesZeroJitter(t *testing.T) {
 	streams := []sched.Stream{
 		{Video: 0, Period: sched.RatFromFPS(10), Proc: 0.03, Bits: 4e5},
@@ -26,14 +28,14 @@ func TestVerifiedPlanSimulatesZeroJitter(t *testing.T) {
 		{Name: "s0", Uplink: 2e7},
 		{Name: "s1", Uplink: 1e7},
 	}
-	plan, err := sched.Schedule(streams, servers)
+	plan, err := sched.Schedule(streams, servers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rec := obs.NewRecorder(nil)
 	chk := check.New(true, rec)
-	if err := chk.VerifyAssignment(streams, plan.StreamServer, len(servers)); err != nil {
+	if err := chk.VerifyAssignmentServers(streams, plan.StreamServer, servers); err != nil {
 		t.Fatalf("exact verifier rejected Algorithm 1's plan: %v", err)
 	}
 
@@ -63,7 +65,7 @@ func TestObserveJitterFlagsContendingOffsets(t *testing.T) {
 		{Name: "b", Period: 0.15, Proc: 0.05},
 	}
 	srv := cluster.Server{Name: "s0", Uplink: 0}
-	res := cluster.SimulateServer(specs, srv, 30)
+	res := cluster.NewArena().SimulateServer(context.Background(), specs, srv, 30, nil, 0)
 	if res.MaxJitter <= cluster.JitterEps {
 		t.Fatalf("contending periods simulated with jitter %g — expected visible jitter", res.MaxJitter)
 	}

@@ -1,6 +1,9 @@
 package cluster
 
-import "math/rand/v2"
+import (
+	"context"
+	"math/rand/v2"
+)
 
 func newRng(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0xABCDEF))
@@ -14,3 +17,9 @@ func gcdInt(a, b int) int {
 }
 
 func lcmInt(a, b int) int { return a / gcdInt(a, b) * b }
+
+// simulate runs the FIFO simulator on a fresh arena without telemetry, so
+// the result owns its buffers.
+func simulate(streams []StreamSpec, srv Server, horizon float64) Result {
+	return NewArena().SimulateServer(context.Background(), streams, srv, horizon, nil, 0)
+}

@@ -251,7 +251,7 @@ func (a *Agent) Run(ctx context.Context) error {
 				_ = a.sendResult(ctx, a.lastResult)
 			}
 		default:
-			res := a.evaluate(pr)
+			res := a.evaluate(ctx, pr)
 			evals.Inc()
 			a.lastVersion = pr.Version
 			a.lastResult = ResultRequest{
@@ -277,8 +277,8 @@ func (a *Agent) Run(ctx context.Context) error {
 // frames exactly as the controller's in-process evaluation does — same
 // iteration order, same float additions — so a wire-driven run merges to
 // bit-identical epoch outcomes.
-func (a *Agent) evaluate(pr PollResponse) runtime.ServerEvalResult {
-	res := a.arena.SimulateServer(pr.Specs, pr.Server, pr.Horizon)
+func (a *Agent) evaluate(ctx context.Context, pr PollResponse) runtime.ServerEvalResult {
+	res := a.arena.SimulateServer(ctx, pr.Specs, pr.Server, pr.Horizon, nil, a.Server)
 	var out runtime.ServerEvalResult
 	for _, f := range res.Frames {
 		out.LatSum += f.Latency()

@@ -144,34 +144,6 @@ func MaxJitter(sys *objective.System, d Decision) float64 {
 	return cluster.MaxJitter(results)
 }
 
-// AnalyticOutcomes scores a decision with the purely analytic latency of
-// Eq. (5) (per-frame processing + transmission, no queueing), which is
-// what model-based planners reason with.
-func AnalyticOutcomes(sys *objective.System, d Decision) objective.Vector {
-	var v objective.Vector
-	m := float64(sys.M())
-	for i, c := range sys.Clips {
-		cfg := d.Configs[i]
-		v[objective.Accuracy] += c.Accuracy(cfg) / m
-		v[objective.Network] += c.Bandwidth(cfg)
-		v[objective.Compute] += c.Compute(cfg)
-		v[objective.Energy] += c.Power(cfg)
-	}
-	var lat float64
-	for i, s := range d.Streams {
-		b := sys.Servers[d.Assign[i]].Uplink
-		tx := 0.0
-		if b > 0 {
-			tx = s.Bits / b
-		}
-		lat += s.Proc + tx
-	}
-	if len(d.Streams) > 0 {
-		v[objective.Latency] = lat / float64(len(d.Streams))
-	}
-	return v
-}
-
 // ConfigGrid enumerates the standard knob grid as (resolution, fps) pairs.
 func ConfigGrid() []videosim.Config {
 	var out []videosim.Config

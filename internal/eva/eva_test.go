@@ -64,7 +64,7 @@ func TestEvaluateMatchesAnalyticWhenUncontended(t *testing.T) {
 	s := sys(3, 3)
 	cfgs := midCfgs(3)
 	streams := BuildStreams(s, cfgs)
-	plan, err := sched.Schedule(streams, s.Servers)
+	plan, err := sched.Schedule(streams, s.Servers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,14 @@ func TestEvaluateMatchesAnalyticWhenUncontended(t *testing.T) {
 		for k, si := range members {
 			sub[k] = specs[si]
 		}
-		sub = cluster.ZeroJitterOffsets(sub, s.Servers[plan.GroupServer[g]].Uplink)
+		cluster.ZeroJitterOffsets(sub, s.Servers[plan.GroupServer[g]])
 		for k, si := range members {
 			offsets[si] = sub[k].Offset
 		}
 	}
 	d := Decision{Configs: cfgs, Streams: streams, Assign: plan.StreamServer, Offsets: offsets, ZeroJit: true}
 	measured := Evaluate(s, d)
-	analytic := AnalyticOutcomes(s, d)
+	analytic := analyticOutcomes(s, d)
 	// Zero-jitter plan → DES latency equals the analytic Eq. 5 latency.
 	if math.Abs(measured[objective.Latency]-analytic[objective.Latency]) > 1e-6 {
 		t.Fatalf("measured latency %v vs analytic %v", measured[objective.Latency], analytic[objective.Latency])
@@ -115,7 +115,7 @@ func TestEvaluatePenalizesContention(t *testing.T) {
 	rng := stats.NewRNG(1)
 	bad := Decision{Configs: cfgs, Streams: streams, Assign: assign, Offsets: RandomOffsets(streams, rng)}
 	measured := Evaluate(s, bad)
-	analytic := AnalyticOutcomes(s, bad)
+	analytic := analyticOutcomes(s, bad)
 	if measured[objective.Latency] < 2*analytic[objective.Latency] {
 		t.Fatalf("contended latency %v not ≫ analytic %v", measured[objective.Latency], analytic[objective.Latency])
 	}
@@ -148,4 +148,32 @@ func TestEvaluateValidation(t *testing.T) {
 		}
 	}()
 	Evaluate(s, Decision{Configs: midCfgs(1), Streams: BuildStreams(s, midCfgs(1)), Assign: nil})
+}
+
+// analyticOutcomes scores a decision with the purely analytic latency of
+// Eq. (5) (per-frame processing + transmission, no queueing), which is
+// what model-based planners reason with.
+func analyticOutcomes(sys *objective.System, d Decision) objective.Vector {
+	var v objective.Vector
+	m := float64(sys.M())
+	for i, c := range sys.Clips {
+		cfg := d.Configs[i]
+		v[objective.Accuracy] += c.Accuracy(cfg) / m
+		v[objective.Network] += c.Bandwidth(cfg)
+		v[objective.Compute] += c.Compute(cfg)
+		v[objective.Energy] += c.Power(cfg)
+	}
+	var lat float64
+	for i, s := range d.Streams {
+		b := sys.Servers[d.Assign[i]].Uplink
+		tx := 0.0
+		if b > 0 {
+			tx = s.Bits / b
+		}
+		lat += s.Proc + tx
+	}
+	if len(d.Streams) > 0 {
+		v[objective.Latency] = lat / float64(len(d.Streams))
+	}
+	return v
 }

@@ -149,7 +149,7 @@ func AblationZeroJitter(w io.Writer, videos, servers int, seed uint64) Table {
 		Header: []string{"policy", "max_jitter_s", "max_wait_s", "mean_latency_s"},
 	}
 
-	if plan, err := sched.Schedule(streams, sys.Servers); err == nil {
+	if plan, err := sched.Schedule(streams, sys.Servers, nil); err == nil {
 		specs, assign := plan.ToClusterStreams(streams, sys.Servers)
 		results := cluster.SimulateCluster(specs, sys.Servers, assign, 30)
 		t.Add("algorithm1", cluster.MaxJitter(results), maxWait(results), cluster.MeanLatency(results))

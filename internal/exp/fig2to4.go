@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cluster"
@@ -54,7 +55,7 @@ func Fig3(w io.Writer) Table {
 		{Name: "video1(5fps)", Period: 0.2, Proc: 0.1},
 		{Name: "video2(10fps)", Period: 0.1, Proc: 0.08},
 	}
-	res := cluster.SimulateServer(streams, cluster.Server{Uplink: 0}, 2.0)
+	res := cluster.NewArena().SimulateServer(context.Background(), streams, cluster.Server{Uplink: 0}, 2.0, nil, 0)
 	t := Table{
 		Title:  "Figure 3(a) — latency accumulation under resource contention",
 		Header: []string{"frame", "stream", "capture_s", "start_s", "finish_s", "latency_s", "wait_s"},
@@ -84,8 +85,9 @@ func Fig4(w io.Writer) Table {
 	}
 	add := func(label string, a, b cluster.StreamSpec, gcd float64) {
 		sum := a.Proc + b.Proc
-		specs := cluster.ZeroJitterOffsets([]cluster.StreamSpec{a, b}, srv.Uplink)
-		res := cluster.SimulateServer(specs, srv, 60)
+		specs := []cluster.StreamSpec{a, b}
+		cluster.ZeroJitterOffsets(specs, srv)
+		res := cluster.NewArena().SimulateServer(context.Background(), specs, srv, 60, nil, 0)
 		t.Add(label, gcd, sum, sum <= gcd, res.MaxJitter, res.MaxWait)
 	}
 	add("video1+video2 (harmonic)", v1, v2, 0.2)
@@ -103,7 +105,7 @@ func Fig3Timeline() []float64 {
 		{Period: 0.2, Proc: 0.1},
 		{Period: 0.1, Proc: 0.08},
 	}
-	res := cluster.SimulateServer(streams, cluster.Server{Uplink: 0}, 3.0)
+	res := cluster.NewArena().SimulateServer(context.Background(), streams, cluster.Server{Uplink: 0}, 3.0, nil, 0)
 	var lat []float64
 	for _, f := range res.Frames {
 		if f.Stream == 1 {

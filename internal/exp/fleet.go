@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/cluster"
@@ -165,7 +166,7 @@ func Fleet(cfg FleetConfig) FleetReport {
 			fleetPlanStreams(planning, base, streams)
 			mask := fleetMask(cfg, epoch)
 			split := sched.SplitHighRate(planning)
-			plan, err := sched.ScheduleMasked(split, servers, mask)
+			plan, err := sched.Schedule(split, servers, mask)
 			if err != nil {
 				panic("exp: infeasible fleet workload: " + err.Error())
 			}
@@ -208,7 +209,7 @@ func Fleet(cfg FleetConfig) FleetReport {
 					split[k].Bits = planning[split[k].Video].Bits
 				}
 			}
-			plan, incremental, err := rp.Replan(split, servers, mask)
+			plan, incremental, err := rp.Replan(context.Background(), split, servers, mask)
 			if err != nil {
 				panic("exp: infeasible fleet workload: " + err.Error())
 			}
@@ -241,13 +242,13 @@ func Fleet(cfg FleetConfig) FleetReport {
 					srvSpecs[srv] = append(srvSpecs[srv], specs[si])
 				}
 				part := srvSpecs[srv][at:]
-				cluster.ZeroJitterOffsetsInPlaceOn(part, servers[srv])
+				cluster.ZeroJitterOffsets(part, servers[srv])
 				for gi, si := range members {
 					part[gi].Proc = streams[split[si].Video].Proc
 				}
 			}
 			for j := range servers {
-				res := arenas[j].SimulateServer(srvSpecs[j], servers[j], cfg.Horizon)
+				res := arenas[j].SimulateServer(context.Background(), srvSpecs[j], servers[j], cfg.Horizon, nil, j)
 				for _, f := range res.Frames {
 					latSum += f.Latency()
 				}

@@ -58,18 +58,6 @@ func TestMultiStartSkipsNaNStarts(t *testing.T) {
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	got := GoldenSection(func(x float64) float64 { return (x - 2.5) * (x - 2.5) }, 0, 10, 1e-10)
-	if math.Abs(got-2.5) > 1e-8 {
-		t.Fatalf("GoldenSection = %v", got)
-	}
-	// Boundary minimum.
-	got = GoldenSection(func(x float64) float64 { return x }, 1, 4, 1e-10)
-	if math.Abs(got-1) > 1e-6 {
-		t.Fatalf("boundary min = %v", got)
-	}
-}
-
 func TestGridSearchMin(t *testing.T) {
 	vals := []float64{3, 1, 4, 1, 5}
 	i, f := GridSearchMin(func(i int) float64 { return vals[i] }, len(vals))

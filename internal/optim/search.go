@@ -2,31 +2,6 @@ package optim
 
 import "math"
 
-// GoldenSection minimizes a unimodal function f over [a, b] to within tol,
-// returning the minimizer. Used by the FACT baseline's per-coordinate
-// line searches.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	invPhi := (math.Sqrt(5) - 1) / 2 // 0.618...
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for math.Abs(b-a) > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2
-}
-
 // GridSearchMin evaluates f at every listed point and returns the index of
 // the smallest value. Ties resolve to the earliest index.
 func GridSearchMin(f func(int) float64, n int) (best int, fbest float64) {

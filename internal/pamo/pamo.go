@@ -800,7 +800,7 @@ func (s *Scheduler) plan(cfgs []videosim.Config) (candidate, bool) {
 		}
 	}
 	split := sched.SplitHighRate(streams)
-	plan, err := sched.ScheduleMasked(split, s.sys.Servers, s.opt.ServerMask)
+	plan, err := sched.Schedule(split, s.sys.Servers, s.opt.ServerMask)
 	if err != nil {
 		return candidate{}, false
 	}

@@ -83,7 +83,7 @@ func TestPlanFeasibilityMatchesConstraints(t *testing.T) {
 	if !ok {
 		t.Skip("random config infeasible; covered elsewhere")
 	}
-	if !sched.CheckConst2(c.streams, c.plan.StreamServer, sys.N()) {
+	if !sched.CheckConst2Servers(c.streams, c.plan.StreamServer, sys.Servers) {
 		t.Fatal("plan violates Const2")
 	}
 }

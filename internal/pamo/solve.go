@@ -547,7 +547,7 @@ func (s *Scheduler) zeroJitterOffsets(streams []sched.Stream, plan sched.Plan) [
 				Bits:   streams[si].Bits,
 			}
 		}
-		specs = cluster.ZeroJitterOffsetsOn(specs, srv)
+		cluster.ZeroJitterOffsets(specs, srv)
 		for k, si := range members {
 			offsets[si] = specs[k].Offset
 		}

@@ -47,7 +47,7 @@ func (f *FixedScheduler) DecideMasked(ctx context.Context, sys *objective.System
 		cfgs[i] = f.Cfg
 	}
 	streams := eva.BuildStreams(sys, cfgs)
-	plan, err := sched.ScheduleMasked(streams, sys.Servers, healthy)
+	plan, err := sched.Schedule(streams, sys.Servers, healthy)
 	if err != nil {
 		return eva.Decision{}, err
 	}

@@ -52,7 +52,7 @@ func (c *Controller) incrementalReplan(ctx context.Context, rp *sched.Replanner,
 		streams[i].Proc = clip.ProcTimeOf(cfg)
 		streams[i].Bits = clip.BitsOf(cfg)
 	}
-	plan, ok := rp.IncrementalCtx(ctx, streams, sys.Servers, healthy)
+	plan, ok := rp.Incremental(ctx, streams, sys.Servers, healthy)
 	if !ok {
 		return eva.Decision{}, false
 	}

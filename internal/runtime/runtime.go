@@ -1081,13 +1081,13 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 			if rec == nil {
 				// Counterfactual / disabled-telemetry path: plain simulation,
 				// no spans, no events, no added allocations.
-				res = c.arenas[j].SimulateServer(specs, sys.Servers[j], eva.EvalHorizon)
+				res = c.arenas[j].SimulateServer(ctx, specs, sys.Servers[j], eva.EvalHorizon, nil, j)
 			} else {
 				rec.Do(ctx, "des", func(ctx context.Context) {
 					sctx, sp := rec.StartSpanCtx(ctx, "des",
 						obs.F("server", float64(j)),
 						obs.F("streams", float64(len(specs))))
-					res = c.arenas[j].SimulateServerRecordedCtx(sctx, specs, sys.Servers[j], eva.EvalHorizon, rec, j)
+					res = c.arenas[j].SimulateServer(sctx, specs, sys.Servers[j], eva.EvalHorizon, rec, j)
 					sp.Field("frames", float64(len(res.Frames)))
 					sp.End()
 				})

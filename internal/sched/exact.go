@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"math/big"
-
-	"repro/internal/cluster"
-)
+import "math/big"
 
 // Exact zero-jitter grouping by backtracking. The paper's related work
 // notes non-preemptive periodic scheduling is strongly NP-hard [12] and
@@ -37,8 +33,8 @@ func ExactGroup(streams []Stream, n int) ([][]int, bool) {
 	}
 
 	// Processing-time sums are exact rationals and the Const2 comparison is
-	// tolerance-free, matching CheckConst2: the search decides the same
-	// predicate the checker verifies.
+	// tolerance-free, matching CheckConst2Servers at speed 1: the search
+	// decides the same predicate the checker verifies.
 	procR := make([]*big.Rat, len(streams))
 	for i, s := range streams {
 		if procR[i] = ratFromFloat(s.Proc); procR[i] == nil {
@@ -98,18 +94,4 @@ func ExactGroup(streams []Stream, n int) ([][]int, bool) {
 		out[j] = append([]int(nil), groups[j]...)
 	}
 	return out, true
-}
-
-// ExactSchedule runs the exact grouping followed by the same Hungarian
-// group→server mapping as Algorithm 1. The boolean reports feasibility.
-func ExactSchedule(streams []Stream, servers []cluster.Server) (Plan, bool) {
-	groups, ok := ExactGroup(streams, len(servers))
-	if !ok {
-		return Plan{}, false
-	}
-	plan, err := MapGroups(groups, streams, servers)
-	if err != nil {
-		return Plan{}, false
-	}
-	return plan, true
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +34,7 @@ func TestExactGroupSatisfiesConst2(t *testing.T) {
 			assign[si] = g
 		}
 	}
-	if !CheckConst2(streams, assign, 3) {
+	if !CheckConst2Servers(streams, assign, homog(3)) {
 		t.Fatal("exact grouping violates Const2")
 	}
 }
@@ -71,11 +72,15 @@ func TestExactScheduleProducesValidPlan(t *testing.T) {
 		{Video: 2, Period: RatFromFPS(30), Proc: 0.02, Bits: 1e5},
 	}
 	srvs := []cluster.Server{{Uplink: 1e7}, {Uplink: 2e7}}
-	plan, ok := ExactSchedule(streams, srvs)
+	groups, ok := ExactGroup(streams, len(srvs))
 	if !ok {
 		t.Fatal("feasible instance rejected")
 	}
-	if !CheckConst2(streams, plan.StreamServer, len(srvs)) {
+	plan, err := MapGroups(groups, streams, srvs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !CheckConst2Servers(streams, plan.StreamServer, srvs) {
 		t.Fatal("exact plan violates Const2")
 	}
 }
@@ -115,7 +120,7 @@ func TestExactVsHeuristicProperty(t *testing.T) {
 					assign[si] = g
 				}
 			}
-			if !CheckConst2(streams, assign, n) {
+			if !CheckConst2Servers(streams, assign, homog(n)) {
 				return false
 			}
 			// Verify zero jitter in the simulator per group.
@@ -130,8 +135,8 @@ func TestExactVsHeuristicProperty(t *testing.T) {
 						Proc:   streams[si].Proc,
 					}
 				}
-				specs = cluster.ZeroJitterOffsets(specs, 0)
-				res := cluster.SimulateServer(specs, cluster.Server{}, 10)
+				cluster.ZeroJitterOffsets(specs, cluster.Server{})
+				res := cluster.NewArena().SimulateServer(context.Background(), specs, cluster.Server{}, 10, nil, 0)
 				if res.MaxJitter > cluster.JitterEps {
 					return false
 				}

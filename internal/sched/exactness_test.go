@@ -81,8 +81,8 @@ func TestCheckConst2Exact(t *testing.T) {
 	if !oldFloatConst2(streams, assign, 1) {
 		t.Fatal("setup broken: the old float check was supposed to accept this plan")
 	}
-	if CheckConst2(streams, assign, 1) {
-		t.Fatal("exact CheckConst2 accepted a plan with Σp > gcd")
+	if CheckConst2Servers(streams, assign, homog(1)) {
+		t.Fatal("exact CheckConst2Servers accepted a plan with Σp > gcd")
 	}
 
 	// Dyadic procs summing exactly to the gcd stay feasible.
@@ -90,8 +90,8 @@ func TestCheckConst2Exact(t *testing.T) {
 		{Video: 0, Period: RatFromFPS(8), Proc: 0.0625},
 		{Video: 1, Period: RatFromFPS(8), Proc: 0.0625},
 	}
-	if !CheckConst2(ok, assign, 1) {
-		t.Fatal("exact CheckConst2 rejected Σp = gcd exactly")
+	if !CheckConst2Servers(ok, assign, homog(1)) {
+		t.Fatal("exact CheckConst2Servers rejected Σp = gcd exactly")
 	}
 }
 
@@ -101,18 +101,18 @@ func TestCheckConst1Exact(t *testing.T) {
 	over := []Stream{{Period: Rat(1, 1), Proc: math.Nextafter(1, 2)}}
 	// Keep it a pure Const1 test: the period is 1 s so Const2 holds iff
 	// Const1 does; check the load side directly.
-	if CheckConst1(over, []int{0}, 1) {
-		t.Fatal("exact CheckConst1 accepted utilization 1+ulp")
+	if CheckConst1Servers(over, []int{0}, homog(1)) {
+		t.Fatal("exact CheckConst1Servers accepted utilization 1+ulp")
 	}
 	full := []Stream{
 		{Period: Rat(1, 2), Proc: 0.25},
 		{Period: Rat(1, 2), Proc: 0.25},
 	}
-	if !CheckConst1(full, []int{0, 0}, 1) {
-		t.Fatal("exact CheckConst1 rejected utilization exactly 1")
+	if !CheckConst1Servers(full, []int{0, 0}, homog(1)) {
+		t.Fatal("exact CheckConst1Servers rejected utilization exactly 1")
 	}
-	if CheckConst1(full, []int{0, 3}, 1) {
-		t.Fatal("CheckConst1 accepted an out-of-range assignment")
+	if CheckConst1Servers(full, []int{0, 3}, homog(1)) {
+		t.Fatal("CheckConst1Servers accepted an out-of-range assignment")
 	}
 }
 
@@ -139,7 +139,7 @@ func TestGroupStreamsExactAdmission(t *testing.T) {
 			assign[si] = g
 		}
 	}
-	if !CheckConst2(streams, assign, 2) || !CheckConst1(streams, assign, 2) {
+	if !CheckConst2Servers(streams, assign, homog(2)) || !CheckConst1Servers(streams, assign, homog(2)) {
 		t.Fatal("accepted grouping fails the exact checks")
 	}
 	// Non-finite processing times are rejected, not grouped.
@@ -172,7 +172,7 @@ func TestExactGroupMatchesChecker(t *testing.T) {
 			assign[si] = g
 		}
 	}
-	if !CheckConst2(streams, assign, 2) {
-		t.Fatal("ExactGroup grouping fails exact CheckConst2")
+	if !CheckConst2Servers(streams, assign, homog(2)) {
+		t.Fatal("ExactGroup grouping fails exact CheckConst2Servers")
 	}
 }

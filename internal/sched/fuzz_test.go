@@ -81,10 +81,10 @@ func FuzzGroupStreams(f *testing.F) {
 				t.Fatalf("stream %d not grouped", i)
 			}
 		}
-		if !CheckConst2(streams, assign, n) {
+		if !CheckConst2Servers(streams, assign, homog(n)) {
 			t.Fatal("accepted grouping violates Const2")
 		}
-		if !CheckConst1(streams, assign, n) {
+		if !CheckConst1Servers(streams, assign, homog(n)) {
 			t.Fatal("accepted grouping violates Const1 (Theorem 2 broken)")
 		}
 	})
@@ -125,7 +125,7 @@ func FuzzScheduleMasked(f *testing.F) {
 		for j := range healthy {
 			healthy[j] = maskBits&(1<<uint(j)) != 0
 		}
-		plan, err := ScheduleMasked(streams, servers, healthy)
+		plan, err := Schedule(streams, servers, healthy)
 		if err != nil {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("non-infeasible error: %v", err)
@@ -145,10 +145,10 @@ func FuzzScheduleMasked(f *testing.F) {
 				t.Fatalf("group %d mapped to dead/out-of-range server %d", g, j)
 			}
 		}
-		if !CheckConst2(streams, plan.StreamServer, n) {
+		if !CheckConst2Servers(streams, plan.StreamServer, homog(n)) {
 			t.Fatal("masked plan violates Const2")
 		}
-		if !CheckConst1(streams, plan.StreamServer, n) {
+		if !CheckConst1Servers(streams, plan.StreamServer, homog(n)) {
 			t.Fatal("masked plan violates Const1")
 		}
 	})

@@ -25,7 +25,7 @@ import (
 // (Video/Sub/Period), every group's drifted Σ proc still within the exact
 // gcd of its periods (Const2, which implies Const1 since T_i ≥ gcd), and
 // enough healthy servers for the non-empty groups. Anything else falls back
-// to a cold ScheduleMasked, whose result is adopted as the new baseline.
+// to a cold Schedule, whose result is adopted as the new baseline.
 // Incremental plans can be less optimal than a cold solve (the grouping is
 // frozen), but never less feasible.
 type Replanner struct {
@@ -56,30 +56,12 @@ type Replanner struct {
 // full solve.
 func NewReplanner() *Replanner { return &Replanner{} }
 
-// SetRecorder attaches a recorder: IncrementalCtx then emits one
+// SetRecorder attaches a recorder: Incremental then emits one
 // "sched_incremental" span per attempt (fields: streams, taken) nested
 // under the caller's trace context, plus sched_incremental_total /
 // sched_incremental_declined_total counters. Nil (the default) disables
 // telemetry at zero cost.
 func (r *Replanner) SetRecorder(rec *obs.Recorder) { r.rec = rec }
-
-// IncrementalCtx is Incremental with trace-context propagation: the span
-// it emits (when a recorder is attached) parents under the span carried by
-// ctx, so an epoch's incremental replan shows up inside the epoch's trace.
-func (r *Replanner) IncrementalCtx(ctx context.Context, streams []Stream, servers []cluster.Server, healthy []bool) (Plan, bool) {
-	if r.rec == nil {
-		return r.Incremental(streams, servers, healthy)
-	}
-	_, sp := r.rec.StartSpanCtx(ctx, "sched_incremental", obs.F("streams", float64(len(streams))))
-	plan, ok := r.Incremental(streams, servers, healthy)
-	sp.Field("taken", b2f(ok))
-	sp.End()
-	r.rec.Registry().Counter("sched_incremental_total").Inc()
-	if !ok {
-		r.rec.Registry().Counter("sched_incremental_declined_total").Inc()
-	}
-	return plan, ok
-}
 
 func b2f(b bool) float64 {
 	if b {
@@ -94,13 +76,13 @@ func (r *Replanner) Invalidate() { r.valid = false }
 
 // Replan schedules the streams onto the healthy servers (nil mask = all
 // healthy), reusing the previously adopted grouping when valid and falling
-// back to a full ScheduleMasked otherwise. The boolean reports whether the
+// back to a full Schedule otherwise. The boolean reports whether the
 // incremental path was taken.
-func (r *Replanner) Replan(streams []Stream, servers []cluster.Server, healthy []bool) (Plan, bool, error) {
-	if plan, ok := r.Incremental(streams, servers, healthy); ok {
+func (r *Replanner) Replan(ctx context.Context, streams []Stream, servers []cluster.Server, healthy []bool) (Plan, bool, error) {
+	if plan, ok := r.Incremental(ctx, streams, servers, healthy); ok {
 		return plan, true, nil
 	}
-	plan, err := ScheduleMasked(streams, servers, healthy)
+	plan, err := Schedule(streams, servers, healthy)
 	if err != nil {
 		r.valid = false
 		return Plan{}, false, err
@@ -110,9 +92,8 @@ func (r *Replanner) Replan(streams []Stream, servers []cluster.Server, healthy [
 }
 
 // Adopt installs plan as the incremental baseline for subsequent calls. The
-// plan must be a feasible schedule of streams (as produced by Schedule,
-// ScheduleMasked, or a verified external decision); streams and grouping are
-// deep-copied.
+// plan must be a feasible schedule of streams (as produced by Schedule or a
+// verified external decision); streams and grouping are deep-copied.
 //
 // The grouping is keyed by stream index, so a plan whose membership does not
 // exactly cover streams — stale indices after an eviction shrank the slice,
@@ -238,8 +219,25 @@ func (r *Replanner) sumWithinBudget(budget *big.Rat, speed float64, shift uint) 
 // Incremental attempts the grouping-reusing replan described on Replanner.
 // It returns ok=false — without touching the adopted state — whenever the
 // fast path cannot prove feasibility, leaving the decision to fall back to
-// the caller.
-func (r *Replanner) Incremental(streams []Stream, servers []cluster.Server, healthy []bool) (Plan, bool) {
+// the caller. With a recorder attached, the attempt's span parents under
+// the span carried by ctx, so an epoch's incremental replan shows up inside
+// the epoch's trace.
+func (r *Replanner) Incremental(ctx context.Context, streams []Stream, servers []cluster.Server, healthy []bool) (Plan, bool) {
+	if r.rec == nil {
+		return r.incremental(streams, servers, healthy)
+	}
+	_, sp := r.rec.StartSpanCtx(ctx, "sched_incremental", obs.F("streams", float64(len(streams))))
+	plan, ok := r.incremental(streams, servers, healthy)
+	sp.Field("taken", b2f(ok))
+	sp.End()
+	r.rec.Registry().Counter("sched_incremental_total").Inc()
+	if !ok {
+		r.rec.Registry().Counter("sched_incremental_declined_total").Inc()
+	}
+	return plan, ok
+}
+
+func (r *Replanner) incremental(streams []Stream, servers []cluster.Server, healthy []bool) (Plan, bool) {
 	if !r.valid || len(streams) != len(r.streams) {
 		return Plan{}, false
 	}

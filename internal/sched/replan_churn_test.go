@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -19,7 +20,7 @@ func churnBaseline(t *testing.T) (*Replanner, []Stream, []cluster.Server) {
 	}
 	servers := []cluster.Server{{Uplink: 20e6}, {Uplink: 25e6}}
 	rp := NewReplanner()
-	if _, _, err := rp.Replan(streams, servers, nil); err != nil {
+	if _, _, err := rp.Replan(context.Background(), streams, servers, nil); err != nil {
 		t.Fatalf("baseline replan: %v", err)
 	}
 	return rp, streams, servers
@@ -55,7 +56,7 @@ func TestAdoptRejectsBadMembership(t *testing.T) {
 			if rp.Streams() != nil {
 				t.Fatal("bad membership left the baseline valid")
 			}
-			if _, ok := rp.Incremental(base, servers, nil); ok {
+			if _, ok := rp.Incremental(context.Background(), base, servers, nil); ok {
 				t.Fatal("Incremental ran on a corrupted baseline")
 			}
 		})
@@ -74,12 +75,12 @@ func TestEvictWithoutResolve(t *testing.T) {
 	if got := len(rp.Streams()); got != 2 {
 		t.Fatalf("baseline holds %d streams after evict, want 2", got)
 	}
-	plan, ok := rp.Incremental(survivors, servers, nil)
+	plan, ok := rp.Incremental(context.Background(), survivors, servers, nil)
 	if !ok {
 		t.Fatal("incremental declined after evict")
 	}
-	if !CheckConst1(survivors, plan.StreamServer, len(servers)) ||
-		!CheckConst2(survivors, plan.StreamServer, len(servers)) {
+	if !CheckConst1Servers(survivors, plan.StreamServer, servers) ||
+		!CheckConst2Servers(survivors, plan.StreamServer, servers) {
 		t.Fatalf("post-evict plan infeasible: %+v", plan)
 	}
 	// Wrong mask length must not touch the baseline.
@@ -98,7 +99,7 @@ func TestAdmitExactBudgetBoundary(t *testing.T) {
 	streams := []Stream{{Video: 0, Period: RatFromFPS(8), Proc: 0.0625, Bits: 1e6}}
 	servers := []cluster.Server{{Uplink: 20e6}}
 	rp := NewReplanner()
-	if _, _, err := rp.Replan(streams, servers, nil); err != nil {
+	if _, _, err := rp.Replan(context.Background(), streams, servers, nil); err != nil {
 		t.Fatal(err)
 	}
 	// 0.0625 + 0.0625 == 0.125 == gcd exactly: admit.
@@ -119,7 +120,7 @@ func TestAdmitOpensGroupOnlyWithFreeServer(t *testing.T) {
 	streams := []Stream{{Video: 0, Period: RatFromFPS(10), Proc: 0.02, Bits: 1e6}}
 	servers := []cluster.Server{{Uplink: 20e6}, {Uplink: 20e6}}
 	rp := NewReplanner()
-	if _, _, err := rp.Replan(streams, servers, nil); err != nil {
+	if _, _, err := rp.Replan(context.Background(), streams, servers, nil); err != nil {
 		t.Fatal(err)
 	}
 	// 7 fps is incompatible with the 10 fps gcd in both directions.
@@ -134,11 +135,11 @@ func TestAdmitOpensGroupOnlyWithFreeServer(t *testing.T) {
 	// All groups occupied AND one server masked: even the compatible-period
 	// path must respect the mask through the later Incremental.
 	all := rp.Streams()
-	plan, ok := rp.Incremental(append([]Stream(nil), all...), servers, nil)
+	plan, ok := rp.Incremental(context.Background(), append([]Stream(nil), all...), servers, nil)
 	if !ok {
 		t.Fatal("incremental declined after admissions")
 	}
-	if !CheckConst2(all, plan.StreamServer, len(servers)) {
+	if !CheckConst2Servers(all, plan.StreamServer, servers) {
 		t.Fatalf("post-admit plan violates Const2: %+v", plan)
 	}
 }
@@ -151,7 +152,7 @@ func TestAdmitHeteroSpeedBudget(t *testing.T) {
 	streams := []Stream{{Video: 0, Period: RatFromFPS(10), Proc: 0.09, Bits: 1e6}}
 	fast := []cluster.Server{{Uplink: 20e6, SpeedFactor: 2}}
 	rp := NewReplanner()
-	if _, _, err := rp.Replan(streams, fast, nil); err != nil {
+	if _, _, err := rp.Replan(context.Background(), streams, fast, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Σ proc would be 0.18 > 0.1 = gcd, but ≤ 0.2 = gcd·speed.
@@ -160,21 +161,21 @@ func TestAdmitHeteroSpeedBudget(t *testing.T) {
 		t.Fatal("speed-2 admission declined")
 	}
 	all := append([]Stream(nil), rp.Streams()...)
-	plan, ok := rp.Incremental(all, fast, nil)
+	plan, ok := rp.Incremental(context.Background(), all, fast, nil)
 	if !ok {
 		t.Fatal("incremental declined after speed-2 admission")
 	}
 	if !CheckConst2Servers(all, plan.StreamServer, fast) {
 		t.Fatal("speed-aware Const2 rejects the speed-2 plan")
 	}
-	if CheckConst2(all, plan.StreamServer, len(fast)) {
+	if CheckConst2Servers(all, plan.StreamServer, homog(len(fast))) {
 		t.Fatal("speed-blind Const2 accepted a load only a 2x server can carry")
 	}
 
 	// The same admission against a speed-1 cluster must decline.
 	slow := []cluster.Server{{Uplink: 20e6}}
 	rp2 := NewReplanner()
-	if _, _, err := rp2.Replan(streams, slow, nil); err != nil {
+	if _, _, err := rp2.Replan(context.Background(), streams, slow, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := rp2.Admit(arr, slow, nil); ok {
@@ -239,7 +240,7 @@ func FuzzIncrementalAdmitVsResolve(f *testing.F) {
 		}
 
 		rp := NewReplanner()
-		if _, _, err := rp.Replan(base, servers, healthy); err != nil {
+		if _, _, err := rp.Replan(context.Background(), base, servers, healthy); err != nil {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -257,7 +258,7 @@ func FuzzIncrementalAdmitVsResolve(f *testing.F) {
 		all := append(append([]Stream(nil), base...), arr)
 
 		if admitted {
-			plan, ok := rp.Incremental(all, servers, healthy)
+			plan, ok := rp.Incremental(context.Background(), all, servers, healthy)
 			if !ok {
 				// Admission is a budget-level necessary condition; the
 				// Hungarian re-map may still fail to realize a placement
@@ -286,7 +287,7 @@ func FuzzIncrementalAdmitVsResolve(f *testing.F) {
 		// Declined: the runtime's fallback is a full resolve of the same
 		// workload. It may succeed (the heuristic regroups from scratch) or
 		// report infeasibility — anything else is a bug.
-		if _, err := ScheduleMasked(all, servers, healthy); err != nil && !errors.Is(err, ErrInfeasible) {
+		if _, err := Schedule(all, servers, healthy); err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("full-resolve fallback: %v", err)
 		}
 	})

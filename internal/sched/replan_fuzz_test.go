@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,13 +11,13 @@ import (
 )
 
 // FuzzReplanVsSchedule differentially fuzzes the incremental replanner
-// against the full Algorithm 1 solve. Epoch 0 must reproduce ScheduleMasked
+// against the full Algorithm 1 solve. Epoch 0 must reproduce Schedule
 // byte-exactly (it IS a full solve plus adoption); drifted epochs taking the
 // incremental path must (a) match the MapGroups oracle — a one-shot
 // Hungarian re-map of the frozen grouping onto the healthy survivors —
 // and (b) still pass the exact Const1/Const2 verifiers, so "incremental"
 // never means "less feasible". Epochs where the fast path declines must
-// fall back to a plan byte-identical to a cold ScheduleMasked.
+// fall back to a plan byte-identical to a cold Schedule.
 func FuzzReplanVsSchedule(f *testing.F) {
 	f.Add(uint64(1), 4, 3, uint8(0))
 	f.Add(uint64(42), 8, 5, uint8(2))
@@ -47,7 +48,7 @@ func FuzzReplanVsSchedule(f *testing.F) {
 		}
 
 		rp := NewReplanner()
-		first, inc, err := rp.Replan(base, servers, nil)
+		first, inc, err := rp.Replan(context.Background(), base, servers, nil)
 		if err != nil {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("non-infeasible error: %v", err)
@@ -57,7 +58,7 @@ func FuzzReplanVsSchedule(f *testing.F) {
 		if inc {
 			t.Fatal("first Replan claimed the incremental path")
 		}
-		want, err := ScheduleMasked(base, servers, nil)
+		want, err := Schedule(base, servers, nil)
 		if err != nil {
 			t.Fatalf("full solve failed where Replan succeeded: %v", err)
 		}
@@ -93,7 +94,7 @@ func FuzzReplanVsSchedule(f *testing.F) {
 			}
 		}
 
-		plan, inc, err := rp.Replan(streams, servers, healthy)
+		plan, inc, err := rp.Replan(context.Background(), streams, servers, healthy)
 		if err != nil {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("drifted replan: non-infeasible error: %v", err)
@@ -112,16 +113,16 @@ func FuzzReplanVsSchedule(f *testing.F) {
 		if live != m {
 			t.Fatalf("replan placed %d of %d streams", live, m)
 		}
-		if !CheckConst1(streams, plan.StreamServer, n) {
+		if !CheckConst1Servers(streams, plan.StreamServer, homog(n)) {
 			t.Fatalf("replanned plan violates Const1 (incremental=%v): %+v", inc, plan)
 		}
-		if !CheckConst2(streams, plan.StreamServer, n) {
+		if !CheckConst2Servers(streams, plan.StreamServer, homog(n)) {
 			t.Fatalf("replanned plan violates Const2 (incremental=%v): %+v", inc, plan)
 		}
 
 		if !inc {
 			// Fallback epochs must be byte-identical to a cold full solve.
-			cold, err := ScheduleMasked(streams, servers, healthy)
+			cold, err := Schedule(streams, servers, healthy)
 			if err != nil {
 				t.Fatalf("cold solve failed where fallback succeeded: %v", err)
 			}

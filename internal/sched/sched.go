@@ -132,8 +132,8 @@ func GroupStreams(streams []Stream, n int) ([][]int, error) {
 	// marginally violate Theorem 3's Σp ≤ T condition, voiding the
 	// zero-jitter guarantee by up to one epsilon of queueing per hyperperiod.
 	groups := make([][]int, n)
-	gmin := make([]Rational, n)    // min period per group
-	gproc := make([]*big.Rat, n)   // Σ proc per group, exact
+	gmin := make([]Rational, n)  // min period per group
+	gproc := make([]*big.Rat, n) // Σ proc per group, exact
 	for _, oi := range idx {
 		si := order[oi]
 		s := streams[si]
@@ -364,25 +364,20 @@ func MapGroups(groups [][]int, streams []Stream, servers []cluster.Server) (Plan
 	return plan, nil
 }
 
-// Schedule runs the complete Algorithm 1 on pre-split streams.
-func Schedule(streams []Stream, servers []cluster.Server) (Plan, error) {
-	groups, err := GroupStreams(streams, len(servers))
-	if err != nil {
-		return Plan{}, err
-	}
-	return MapGroups(groups, streams, servers)
-}
-
-// ScheduleMasked runs Algorithm 1 on the healthy subset of the servers —
-// the shrunken-capacity case when faults take servers down — and returns
-// a plan whose GroupServer/StreamServer indices refer to the FULL servers
-// slice, so callers keep one physical index space across fault states.
-// A nil mask means all servers are healthy. With zero healthy servers, or
-// when no zero-jitter grouping fits the survivors, it returns a wrapped
-// ErrInfeasible.
-func ScheduleMasked(streams []Stream, servers []cluster.Server, healthy []bool) (Plan, error) {
+// Schedule runs the complete Algorithm 1 on pre-split streams, using only
+// the healthy servers — the shrunken-capacity case when faults take servers
+// down. A nil healthy mask means every server is up. The returned plan's
+// GroupServer/StreamServer indices refer to the FULL servers slice, so
+// callers keep one physical index space across fault states. With zero
+// healthy servers, or when no zero-jitter grouping fits the survivors, it
+// returns a wrapped ErrInfeasible.
+func Schedule(streams []Stream, servers []cluster.Server, healthy []bool) (Plan, error) {
 	if healthy == nil {
-		return Schedule(streams, servers)
+		groups, err := GroupStreams(streams, len(servers))
+		if err != nil {
+			return Plan{}, err
+		}
+		return MapGroups(groups, streams, servers)
 	}
 	if len(healthy) != len(servers) {
 		return Plan{}, fmt.Errorf("sched: mask length %d for %d servers", len(healthy), len(servers))
@@ -432,25 +427,16 @@ func (p Plan) Utilizations(streams []Stream, n int) []float64 {
 	return load
 }
 
-// CheckConst1 verifies Eq. (6) exactly: on every server, Σ pᵢ·sᵢ ≤ 1.
-// Utilizations are accumulated as exact rationals — pᵢ is a dyadic
-// rational, sᵢ = Den/Num of the exact period — so a load of exactly 1 is
-// accepted and any excess, however marginal, is rejected. (The old float
-// check admitted loads up to 1+1e-9, i.e. genuinely overloaded servers.)
-// Streams with non-finite processing times or out-of-range assignments
-// fail the check.
-func CheckConst1(streams []Stream, streamServer []int, n int) bool {
-	return checkConst1(streams, streamServer, n, nil)
-}
-
-// CheckConst1Servers is CheckConst1 for heterogeneous clusters: on every
-// server, Σ pᵢ·sᵢ ≤ speed_j, still checked exactly (speeds are dyadic
-// float64 values).
+// CheckConst1Servers verifies Eq. (6) exactly: on every server,
+// Σ pᵢ·sᵢ ≤ speed_j (1 at the homogeneous default). Utilizations are
+// accumulated as exact rationals — pᵢ is a dyadic rational, sᵢ = Den/Num of
+// the exact period, and speeds are dyadic float64 values — so a load of
+// exactly the budget is accepted and any excess, however marginal, is
+// rejected. (The old float check admitted loads up to 1+1e-9, i.e.
+// genuinely overloaded servers.) Streams with non-finite processing times
+// or assignments outside servers fail the check.
 func CheckConst1Servers(streams []Stream, streamServer []int, servers []cluster.Server) bool {
-	return checkConst1(streams, streamServer, len(servers), servers)
-}
-
-func checkConst1(streams []Stream, streamServer []int, n int, servers []cluster.Server) bool {
+	n := len(servers)
 	load := make([]*big.Rat, n)
 	for i, s := range streams {
 		j := streamServer[i]
@@ -473,10 +459,8 @@ func checkConst1(streams []Stream, streamServer []int, n int, servers []cluster.
 			continue
 		}
 		budget := ratOne
-		if servers != nil {
-			if budget = ratFromFloat(servers[j].Speed()); budget == nil {
-				return false
-			}
+		if spd := servers[j].Speed(); spd != 1 {
+			budget = ratFromFloat(spd)
 		}
 		if l.Cmp(budget) > 0 {
 			return false
@@ -485,26 +469,16 @@ func checkConst1(streams []Stream, streamServer []int, n int, servers []cluster.
 	return true
 }
 
-// CheckConst2 verifies Eq. (7) exactly: on every server, Σ pᵢ ≤ gcd of the
-// periods of the streams scheduled there. The processing-time sum over a
-// server is expressed over a common denominator via exact rational
-// accumulation and compared against the exact gcd with no tolerance. The
-// old check compared against gcds[j].Float()+1e-12, so a plan whose Σ pᵢ
-// exceeds the gcd by up to 1e-12 passed while actually self-queueing —
-// silently voiding the paper's zero-jitter latency claim (Theorems 1–3).
-func CheckConst2(streams []Stream, streamServer []int, n int) bool {
-	return checkConst2(streams, streamServer, n, nil)
-}
-
-// CheckConst2Servers is CheckConst2 for heterogeneous clusters: on every
-// server, Σ pᵢ ≤ gcd(T) · speed_j — the budget a server class at speed s
-// can actually clear inside one gcd window. Exact: the speed factor is a
-// dyadic float64, so the scaled budget is an exact rational.
+// CheckConst2Servers verifies Eq. (7) exactly: on every server,
+// Σ pᵢ ≤ gcd(T) · speed_j — the budget a server class at speed s can
+// actually clear inside one gcd window. The processing-time sum over a
+// server is accumulated as an exact rational and compared against the exact
+// speed-scaled gcd with no tolerance. The old check compared against
+// gcds[j].Float()+1e-12, so a plan whose Σ pᵢ exceeds the gcd by up to
+// 1e-12 passed while actually self-queueing — silently voiding the paper's
+// zero-jitter latency claim (Theorems 1–3).
 func CheckConst2Servers(streams []Stream, streamServer []int, servers []cluster.Server) bool {
-	return checkConst2(streams, streamServer, len(servers), servers)
-}
-
-func checkConst2(streams []Stream, streamServer []int, n int, servers []cluster.Server) bool {
+	n := len(servers)
 	procSum := make([]*big.Rat, n)
 	gcds := make([]Rational, n)
 	for i, s := range streams {
@@ -528,12 +502,8 @@ func checkConst2(streams []Stream, streamServer []int, n int, servers []cluster.
 			continue // empty server
 		}
 		budget := gcds[j].BigRat()
-		if servers != nil {
-			spd := ratFromFloat(servers[j].Speed())
-			if spd == nil {
-				return false
-			}
-			budget.Mul(budget, spd)
+		if spd := servers[j].Speed(); spd != 1 {
+			budget.Mul(budget, ratFromFloat(spd))
 		}
 		if procSum[j].Cmp(budget) > 0 {
 			return false
@@ -567,7 +537,7 @@ func (p Plan) ToClusterStreams(streams []Stream, servers []cluster.Server) ([]cl
 		for k, si := range members {
 			sub[k] = specs[si]
 		}
-		sub = cluster.ZeroJitterOffsetsOn(sub, srv)
+		cluster.ZeroJitterOffsets(sub, srv)
 		for k, si := range members {
 			specs[si] = sub[k]
 		}

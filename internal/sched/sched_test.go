@@ -17,6 +17,10 @@ func servers(uplinks ...float64) []cluster.Server {
 	return out
 }
 
+// homog returns n homogeneous servers (speed 1): the cluster the exact
+// Const1/Const2 checks see when only the server count matters.
+func homog(n int) []cluster.Server { return make([]cluster.Server, n) }
+
 func TestSplitHighRate(t *testing.T) {
 	streams := []Stream{
 		{Video: 0, Period: RatFromFPS(10), Proc: 0.05},  // s·p = 0.5, keep
@@ -59,7 +63,7 @@ func TestSplitExactBoundaryNotSplit(t *testing.T) {
 func TestGroupStreamsRespectsTheorem3(t *testing.T) {
 	streams := []Stream{
 		{Video: 0, Period: RatFromFPS(10), Proc: 0.03},
-		{Video: 1, Period: RatFromFPS(5), Proc: 0.04},  // multiple of 1/10
+		{Video: 1, Period: RatFromFPS(5), Proc: 0.04}, // multiple of 1/10
 		{Video: 2, Period: RatFromFPS(10), Proc: 0.02},
 		{Video: 3, Period: RatFromFPS(30), Proc: 0.02},
 		{Video: 4, Period: RatFromFPS(15), Proc: 0.01}, // multiple of 1/30
@@ -115,14 +119,14 @@ func TestScheduleSatisfiesBothConstraints(t *testing.T) {
 		{Video: 3, Period: RatFromFPS(30), Proc: 0.02, Bits: 4e5},
 	}
 	srvs := servers(1e7, 2e7, 3e7)
-	plan, err := Schedule(streams, srvs)
+	plan, err := Schedule(streams, srvs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !CheckConst1(streams, plan.StreamServer, len(srvs)) {
+	if !CheckConst1Servers(streams, plan.StreamServer, srvs) {
 		t.Fatal("Const1 violated")
 	}
-	if !CheckConst2(streams, plan.StreamServer, len(srvs)) {
+	if !CheckConst2Servers(streams, plan.StreamServer, srvs) {
 		t.Fatal("Const2 violated")
 	}
 	for i, j := range plan.StreamServer {
@@ -140,7 +144,7 @@ func TestHungarianMappingMinimizesCommLatency(t *testing.T) {
 		{Video: 1, Period: RatFromFPS(10), Proc: 0.09, Bits: 1e4}, // light
 	}
 	srvs := servers(1e6, 1e8) // server 1 is 100× faster
-	plan, err := Schedule(streams, srvs)
+	plan, err := Schedule(streams, srvs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +168,7 @@ func TestScheduleZeroJitterInSimulation(t *testing.T) {
 		{Video: 4, Period: RatFromFPS(30), Proc: 0.02, Bits: 1e5},
 	}
 	srvs := servers(1e7, 2e7, 3e7)
-	plan, err := Schedule(streams, srvs)
+	plan, err := Schedule(streams, srvs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +207,13 @@ func TestSchedulePropertyZeroJitter(t *testing.T) {
 			}
 		}
 		srvs := servers(1e7, 1.5e7, 2e7, 2.5e7, 3e7)
-		plan, err := Schedule(SplitHighRate(streams), srvs)
+		plan, err := Schedule(SplitHighRate(streams), srvs, nil)
 		if err != nil {
 			return true // infeasible is an acceptable outcome
 		}
 		split := SplitHighRate(streams)
-		if !CheckConst1(split, plan.StreamServer, len(srvs)) ||
-			!CheckConst2(split, plan.StreamServer, len(srvs)) {
+		if !CheckConst1Servers(split, plan.StreamServer, srvs) ||
+			!CheckConst2Servers(split, plan.StreamServer, srvs) {
 			return false
 		}
 		specs, assign := plan.ToClusterStreams(split, srvs)
@@ -223,7 +227,7 @@ func TestSchedulePropertyZeroJitter(t *testing.T) {
 
 func TestCheckConstsRejectUnassigned(t *testing.T) {
 	streams := []Stream{{Period: RatFromFPS(10), Proc: 0.01}}
-	if CheckConst1(streams, []int{-1}, 1) || CheckConst2(streams, []int{-1}, 1) {
+	if CheckConst1Servers(streams, []int{-1}, homog(1)) || CheckConst2Servers(streams, []int{-1}, homog(1)) {
 		t.Fatal("unassigned stream must fail constraint checks")
 	}
 }
@@ -234,7 +238,7 @@ func TestCheckConst1Violation(t *testing.T) {
 		{Period: RatFromFPS(10), Proc: 0.08},
 	}
 	// Both on server 0: Σ p·s = 1.6 > 1.
-	if CheckConst1(streams, []int{0, 0}, 1) {
+	if CheckConst1Servers(streams, []int{0, 0}, homog(1)) {
 		t.Fatal("Const1 violation undetected")
 	}
 }
@@ -245,7 +249,7 @@ func TestCheckConst2Violation(t *testing.T) {
 		{Period: Rat(1, 5), Proc: 0.05},
 	}
 	// gcd(0.3, 0.2) = 0.1 < 0.17 = Σp.
-	if CheckConst2(streams, []int{0, 0}, 1) {
+	if CheckConst2Servers(streams, []int{0, 0}, homog(1)) {
 		t.Fatal("Const2 violation undetected")
 	}
 }
@@ -264,7 +268,7 @@ func BenchmarkSchedule10Streams(b *testing.B) {
 	srvs := servers(1e7, 2e7, 3e7, 4e7, 5e7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Schedule(streams, srvs); err != nil {
+		if _, err := Schedule(streams, srvs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

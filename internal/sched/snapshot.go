@@ -11,9 +11,9 @@ import (
 // capture time. It is the shared-state currency of the sharded control
 // plane — every per-cell scheduler proposes claims against one snapshot
 // version, the arbiter commits against the live successor state, and a
-// version mismatch is what makes a conflict detectable — but the serial
-// paths consume it too, so `sched`, `runtime`, and the Replanner all plan
-// off the same explicit state instead of loose (servers, healthy) pairs.
+// version mismatch is what makes a conflict detectable. The planner's
+// serial fallback and single-cell path run Schedule on the snapshot's
+// (servers, healthy) pair, so they match the serial plan byte for byte.
 //
 // Construction deep-copies both slices; accessors hand back internal state
 // that callers must treat as read-only. A nil healthy mask means every
@@ -50,16 +50,8 @@ func (s *Snapshot) NumServers() int { return len(s.servers) }
 // Servers returns the snapshot's server table. Read-only.
 func (s *Snapshot) Servers() []cluster.Server { return s.servers }
 
-// Server returns server j's capacity record.
-func (s *Snapshot) Server(j int) cluster.Server { return s.servers[j] }
-
 // Healthy returns the liveness mask (nil = all up). Read-only.
 func (s *Snapshot) Healthy() []bool { return s.healthy }
-
-// IsHealthy reports whether server j is up.
-func (s *Snapshot) IsHealthy(j int) bool {
-	return s.healthy == nil || s.healthy[j]
-}
 
 // NumHealthy counts the servers that are up.
 func (s *Snapshot) NumHealthy() int {
@@ -80,28 +72,9 @@ func (s *Snapshot) NumHealthy() int {
 // Hungarian tie-breaking is identical across the serial and sharded paths.
 func (s *Snapshot) HealthyIndices(dst []int) []int {
 	for j := range s.servers {
-		if s.IsHealthy(j) {
+		if s.healthy == nil || s.healthy[j] {
 			dst = append(dst, j)
 		}
 	}
 	return dst
-}
-
-// ScheduleSnapshot runs the complete Algorithm 1 against a snapshot: the
-// serial reference every sharded plan is measured against, and the
-// single-cell path of the sharded planner. Identical to ScheduleMasked on
-// the snapshot's (servers, healthy) pair, byte for byte.
-func ScheduleSnapshot(streams []Stream, snap *Snapshot) (Plan, error) {
-	return ScheduleMasked(streams, snap.servers, snap.healthy)
-}
-
-// ReplanSnapshot is Replan consuming a snapshot instead of a loose
-// (servers, healthy) pair.
-func (r *Replanner) ReplanSnapshot(streams []Stream, snap *Snapshot) (Plan, bool, error) {
-	return r.Replan(streams, snap.servers, snap.healthy)
-}
-
-// IncrementalSnapshot is Incremental consuming a snapshot.
-func (r *Replanner) IncrementalSnapshot(streams []Stream, snap *Snapshot) (Plan, bool) {
-	return r.Incremental(streams, snap.servers, snap.healthy)
 }

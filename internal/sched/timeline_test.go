@@ -17,7 +17,7 @@ func timelinePlan(t *testing.T) ([]Stream, Plan) {
 		{Video: 3, Period: RatFromFPS(30), Proc: 0.02, Bits: 1e5},
 	}
 	srvs := []cluster.Server{{Uplink: 1e7}, {Uplink: 2e7}, {Uplink: 3e7}}
-	plan, err := Schedule(streams, srvs)
+	plan, err := Schedule(streams, srvs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTimelineTheorem1Property(t *testing.T) {
 		for j := range srvs {
 			srvs[j] = cluster.Server{Uplink: 1e7}
 		}
-		plan, err := Schedule(streams, srvs)
+		plan, err := Schedule(streams, srvs, nil)
 		if err != nil {
 			return true
 		}

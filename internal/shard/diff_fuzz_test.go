@@ -15,7 +15,7 @@ import (
 // FuzzShardedVsSerial differentially fuzzes the sharded planner against the
 // serial Algorithm 1 solve (the FuzzReplanVsSchedule harness pattern):
 //
-//   - Shards=1 must be byte-identical to ScheduleMasked — it IS the serial
+//   - Shards=1 must be byte-identical to sched.Schedule — it IS the serial
 //     scheduler behind the planner interface.
 //   - Shards=2..4 must place every stream on a healthy server and pass the
 //     exact Const1/Const2 verifiers wherever the serial solve is feasible
@@ -75,7 +75,7 @@ func FuzzShardedVsSerial(f *testing.F) {
 		}
 		snap := sched.NewSnapshot(seed, servers, healthy)
 
-		serial, serialErr := sched.ScheduleMasked(streams, servers, healthy)
+		serial, serialErr := sched.Schedule(streams, servers, healthy)
 		if serialErr != nil && !errors.Is(serialErr, sched.ErrInfeasible) {
 			t.Fatalf("serial solve: non-infeasible error: %v", serialErr)
 		}
@@ -102,10 +102,10 @@ func FuzzShardedVsSerial(f *testing.F) {
 				t.Fatalf("shards=%d: stream %d on down server %d", shards, i, j)
 			}
 		}
-		if !sched.CheckConst1(streams, plan.StreamServer, n) {
+		if !sched.CheckConst1Servers(streams, plan.StreamServer, servers) {
 			t.Fatalf("shards=%d: exact Const1 violated", shards)
 		}
-		if !sched.CheckConst2(streams, plan.StreamServer, n) {
+		if !sched.CheckConst2Servers(streams, plan.StreamServer, servers) {
 			t.Fatalf("shards=%d: exact Const2 violated", shards)
 		}
 

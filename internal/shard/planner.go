@@ -45,8 +45,8 @@ import (
 // Options tunes a Planner.
 type Options struct {
 	// Shards is the number of cells streams are partitioned into. With
-	// Shards ≤ 1 the planner IS the serial scheduler (one
-	// sched.ScheduleSnapshot call), byte for byte.
+	// Shards ≤ 1 the planner IS the serial scheduler (one sched.Schedule
+	// call on the snapshot's servers and mask), byte for byte.
 	Shards int
 	// ColSlack bounds each cell's assignment problem: a proposal with g
 	// groups considers the best g·ColSlack candidate servers instead of
@@ -171,7 +171,7 @@ func (p *Planner) PlanCtx(ctx context.Context, streams []sched.Stream, snap *sch
 	reg.Counter("shard_plans_total").Inc()
 
 	if p.opt.Shards <= 1 {
-		plan, err := sched.ScheduleSnapshot(streams, snap)
+		plan, err := sched.Schedule(streams, snap.Servers(), snap.Healthy())
 		if err != nil {
 			return sched.Plan{}, st, err
 		}
@@ -246,7 +246,7 @@ func (p *Planner) PlanCtx(ctx context.Context, streams []sched.Stream, snap *sch
 				p.fillCellRetries(&st)
 				rsp.Field("fellback", 1)
 				rsp.End()
-				plan, err := sched.ScheduleSnapshot(streams, snap)
+				plan, err := sched.Schedule(streams, snap.Servers(), snap.Healthy())
 				if err != nil {
 					return sched.Plan{}, st, err
 				}

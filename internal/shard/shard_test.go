@@ -233,7 +233,7 @@ func TestArbiterMergesAcrossCells(t *testing.T) {
 	if len(plan.Groups) != 1 || len(plan.Groups[0]) != 2 {
 		t.Fatalf("expected one merged group of 2, got %+v", plan.Groups)
 	}
-	if !sched.CheckConst2(streams, plan.StreamServer, 1) {
+	if !sched.CheckConst2Servers(streams, plan.StreamServer, make([]cluster.Server, 1)) {
 		t.Fatal("merged placement violates exact Const2")
 	}
 	// 0.012+0.014 = 0.026 < gcd(1/30, 1/15) = 1/30 ≈ 0.0333: genuinely shared.
@@ -250,7 +250,7 @@ func clearTiming(st Stats) Stats {
 func TestPlannerShards1IsSerial(t *testing.T) {
 	streams := mkStreams(11, 24, 0.1)
 	servers := mkServers(3, 6, false)
-	want, err := sched.ScheduleMasked(streams, servers, nil)
+	want, err := sched.Schedule(streams, servers, nil)
 	if err != nil {
 		t.Fatalf("serial solve failed: %v", err)
 	}
@@ -283,8 +283,8 @@ func TestPlannerShardedFeasibleDeterministicSequentialEqual(t *testing.T) {
 				t.Fatalf("shards=%d: stream %d unplaced (server %d)", shards, i, j)
 			}
 		}
-		if !sched.CheckConst1(streams, plan.StreamServer, len(servers)) ||
-			!sched.CheckConst2(streams, plan.StreamServer, len(servers)) {
+		if !sched.CheckConst1Servers(streams, plan.StreamServer, servers) ||
+			!sched.CheckConst2Servers(streams, plan.StreamServer, servers) {
 			t.Fatalf("shards=%d: committed plan violates exact feasibility", shards)
 		}
 		if !st.FellBack && st.Commits == 0 {
@@ -318,7 +318,7 @@ func TestPlannerShardedFeasibleDeterministicSequentialEqual(t *testing.T) {
 func TestPlannerUniformUplinkCommInvariant(t *testing.T) {
 	streams := mkStreams(21, 32, 0.08)
 	servers := mkServers(0, 8, true)
-	serial, err := sched.ScheduleMasked(streams, servers, nil)
+	serial, err := sched.Schedule(streams, servers, nil)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
@@ -375,20 +375,20 @@ func TestPlannerInfeasiblePropagates(t *testing.T) {
 func TestVerifyPlanCatchesCorruption(t *testing.T) {
 	streams := mkStreams(4, 12, 0.2)
 	servers := mkServers(4, 4, true)
-	plan, err := sched.ScheduleMasked(streams, servers, nil)
+	plan, err := sched.Schedule(streams, servers, nil)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
 	chk := check.New(true, nil)
-	if err := chk.VerifyPlan(streams, plan, len(servers), nil); err != nil {
+	if err := chk.VerifyPlanServers(streams, plan, servers, nil); err != nil {
 		t.Fatalf("valid plan flagged: %v", err)
 	}
 	// Corrupt: point one stream's server somewhere its group is not.
 	bad := plan
 	bad.StreamServer = append([]int(nil), plan.StreamServer...)
 	bad.StreamServer[0] = (plan.StreamServer[0] + 1) % len(servers)
-	if err := chk.VerifyPlan(streams, bad, len(servers), nil); err == nil {
-		t.Fatal("corrupted plan passed VerifyPlan")
+	if err := chk.VerifyPlanServers(streams, bad, servers, nil); err == nil {
+		t.Fatal("corrupted plan passed VerifyPlanServers")
 	}
 }
 

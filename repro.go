@@ -169,7 +169,7 @@ func BuildStreams(sys *System, cfgs []Config) []Stream { return eva.BuildStreams
 // the zero-jitter constraint (Const2) and map groups to servers with the
 // Hungarian algorithm.
 func ScheduleZeroJitter(streams []Stream, servers []Server) (Plan, error) {
-	return sched.Schedule(streams, servers)
+	return sched.Schedule(streams, servers, nil)
 }
 
 // NewOracle builds a decision maker that answers comparisons from a hidden

@@ -28,6 +28,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pamo"
 	"repro/internal/plot"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -326,6 +327,7 @@ func runFleet(w *os.File, jsonPath string, fast bool) {
 		"after_bytes_per_op":   warmRes.AllocedBytesPerOp(),
 		"full_replans":         rep.FullReplans,
 		"incremental_replans":  rep.IncrementalReplans,
+		"exact_fallbacks":      sched.ExactFallbacks(),
 	}
 	f, err := os.Create(jsonPath)
 	if err != nil {
@@ -416,6 +418,7 @@ func runShard(w *os.File, jsonPath string, fast bool) {
 		"rows":                rows,
 		"speedup_at_4_shards": speedup4,
 		"strict_violations":   rep.Violations,
+		"exact_fallbacks":     sched.ExactFallbacks(),
 		"notes": []string{
 			"every benchmarked epoch is audited by the strict exact-constraint checker; a single Const1/Const2 violation on a shared server panics the run",
 			"on a single-core host the speedup is algorithmic work reduction — per-cell grouping is O((m/C)^2) and each cell assigns over a small rotated candidate-column window — so multicore hosts see additional parallel headroom on top of these numbers",

@@ -151,6 +151,29 @@ func TestVerifyAssignmentDiagnoses(t *testing.T) {
 	}
 }
 
+// TestConst2ShortcutNeedsNonNegativeProcs pins the guard on the Const2 ⇒
+// Const1 shortcut: with a negative proc, Σ pᵢ can fit the period gcd while
+// the utilization exceeds the server. One server, dyadic-exact procs 1/32,
+// 1/64, −1/64 on periods 1/25, 1/25, 1: Σ p = 1/32 ≤ gcd 1/25, but
+// Σ p/T = 74/64 = 1.15625 > 1. The checker must still report const1.
+func TestConst2ShortcutNeedsNonNegativeProcs(t *testing.T) {
+	streams := []sched.Stream{
+		{Video: 0, Period: sched.RatFromFPS(25), Proc: 1.0 / 32},
+		{Video: 1, Period: sched.RatFromFPS(25), Proc: 1.0 / 64},
+		{Video: 2, Period: sched.Rat(1, 1), Proc: -1.0 / 64},
+	}
+	assign := []int{0, 0, 0}
+	servers := make([]cluster.Server, 1)
+	if !sched.CheckConst2Servers(streams, assign, servers) || sched.CheckConst1Servers(streams, assign, servers) {
+		t.Fatal("instance must satisfy Const2 and violate Const1")
+	}
+	err := New(true, obs.NewRecorder(nil)).VerifyAssignmentServers(streams, assign, servers)
+	var v *Violation
+	if !errors.As(err, &v) || v.Invariant != "const1" {
+		t.Fatalf("got %v, want a const1 violation", err)
+	}
+}
+
 func TestVerifyDecision(t *testing.T) {
 	chk := New(true, obs.NewRecorder(nil))
 	streams := []sched.Stream{

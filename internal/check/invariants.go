@@ -27,6 +27,7 @@ func (c *Checker) VerifyAssignmentServers(streams []sched.Stream, assign []int, 
 		return c.violate("shape", "%d streams vs %d assignments", len(streams), len(assign))
 	}
 	nServers := len(servers)
+	implies := true // Const2 ⇒ Const1: every proc ≥ 0 and every period > 0
 	for i, s := range streams {
 		if math.IsNaN(s.Proc) || math.IsInf(s.Proc, 0) {
 			return c.violate("finite", "stream %d (video %d.%d) has non-finite proc %v", i, s.Video, s.Sub, s.Proc)
@@ -34,6 +35,14 @@ func (c *Checker) VerifyAssignmentServers(streams []sched.Stream, assign []int, 
 		if j := assign[i]; j < 0 || j >= nServers {
 			return c.violate("assign_range", "stream %d (video %d.%d) assigned to server %d of %d", i, s.Video, s.Sub, j, nServers)
 		}
+		implies = implies && s.Proc >= 0 && s.Period.Num > 0 && s.Period.Den > 0
+	}
+	// With non-negative procs and positive periods, Const2 implies Const1
+	// (DESIGN.md §10), so a Const2 pass settles both without the big.Rat
+	// utilization sum. Otherwise both run in order, so verdicts and
+	// violation kinds are those of the two checks alone.
+	if implies && sched.CheckConst2Servers(streams, assign, servers) {
+		return nil
 	}
 	if !sched.CheckConst1Servers(streams, assign, servers) {
 		return c.violate("const1", "Eq. 6 violated: some server has exact utilization Σ pᵢ·sᵢ above its speed")

@@ -1,7 +1,5 @@
 package sched
 
-import "math/big"
-
 // Exact zero-jitter grouping by backtracking. The paper's related work
 // notes non-preemptive periodic scheduling is strongly NP-hard [12] and
 // usually solved exactly with ILP/CP/SMT encodings; this branch-and-bound
@@ -35,18 +33,15 @@ func ExactGroup(streams []Stream, n int) ([][]int, bool) {
 	// Processing-time sums are exact rationals and the Const2 comparison is
 	// tolerance-free, matching CheckConst2Servers at speed 1: the search
 	// decides the same predicate the checker verifies.
-	procR := make([]*big.Rat, len(streams))
+	procR := make([]ProcSum, len(streams))
 	for i, s := range streams {
-		if procR[i] = ratFromFloat(s.Proc); procR[i] == nil {
+		if !procR[i].Add(s.Proc) {
 			return nil, false
 		}
 	}
 	groups := make([][]int, n)
 	gcds := make([]Rational, n)
-	procs := make([]*big.Rat, n)
-	for j := range procs {
-		procs[j] = new(big.Rat)
-	}
+	procs := make([]ProcSum, n)
 	used := 0 // number of non-empty groups, for symmetry breaking
 
 	var rec func(k int) bool
@@ -64,8 +59,9 @@ func ExactGroup(streams []Stream, n int) ([][]int, bool) {
 		}
 		for j := 0; j < limit; j++ {
 			newGCD := RatGCD(gcds[j], s.Period)
-			newProc := new(big.Rat).Add(procs[j], procR[si])
-			if newProc.Cmp(newGCD.BigRat()) > 0 {
+			newProc := procs[j]
+			newProc.AddSum(procR[si])
+			if !newProc.LE(newGCD, 1) {
 				continue
 			}
 			oldGCD, oldProc := gcds[j], procs[j]

@@ -7,10 +7,7 @@
 // computed without floating-point error.
 package sched
 
-import (
-	"fmt"
-	"math/big"
-)
+import "fmt"
 
 // Rational is an exact non-negative rational number Num/Den (seconds).
 type Rational struct {
@@ -104,22 +101,3 @@ func (r Rational) IsMultipleOf(s Rational) bool {
 
 // String renders the rational for diagnostics.
 func (r Rational) String() string { return fmt.Sprintf("%d/%d", r.Num, r.Den) }
-
-// BigRat returns the rational as an exact *big.Rat, for arithmetic that
-// must mix exact periods with (dyadic-rational) float64 processing times.
-func (r Rational) BigRat() *big.Rat { return big.NewRat(r.Num, r.Den) }
-
-// ratFromFloat returns the float64 f as an exact rational. Every finite
-// float64 is a dyadic rational, so the conversion is lossless; NaN and the
-// infinities return nil and callers must treat them as invalid inputs.
-func ratFromFloat(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
-
-// ratCeil returns ⌈r⌉ for a non-negative rational.
-func ratCeil(r *big.Rat) *big.Int {
-	q, rem := new(big.Int), new(big.Int)
-	q.QuoRem(r.Num(), r.Denom(), rem)
-	if rem.Sign() > 0 {
-		q.Add(q, big.NewInt(1))
-	}
-	return q
-}

@@ -49,34 +49,6 @@ func SplitHighRate(streams []Stream) []Stream {
 	return out
 }
 
-// splitFactor returns c = ⌈s·p⌉ = ⌈Proc/Period⌉ computed in exact rational
-// arithmetic (1 when the stream needs no split). The old float path,
-// ⌈Proc/Period.Float() − 1e-12⌉, under-split when s·p sat marginally above
-// an integer: sp = 3+1e-13 yielded c = 3 sub-streams of period 3·T with
-// p/(3T) > 1 — each sub-stream alone still self-queues, and Const2 is
-// unsatisfiable for it on any server. The exact ceiling guarantees
-// p ≤ c·T, and therefore s'·p ≤ 1, exactly. Non-finite or non-positive
-// processing times never split.
-func splitFactor(s Stream) int64 {
-	sp := ratFromFloat(s.Proc)
-	if sp == nil || sp.Sign() <= 0 {
-		return 1
-	}
-	sp.Mul(sp, big.NewRat(s.Period.Den, s.Period.Num)) // Proc / Period, exact
-	if sp.Cmp(ratOne) <= 0 {
-		return 1
-	}
-	c := ratCeil(sp)
-	if !c.IsInt64() {
-		// Degenerate inputs (absurdly large Proc): saturate rather than
-		// silently truncate big.Int bits.
-		return math.MaxInt64
-	}
-	return c.Int64()
-}
-
-var ratOne = big.NewRat(1, 1)
-
 // ErrInfeasible is returned when Algorithm 1 cannot group the streams into
 // the available servers under Const2.
 var ErrInfeasible = errors.New("sched: no feasible zero-jitter grouping")
@@ -132,20 +104,20 @@ func GroupStreams(streams []Stream, n int) ([][]int, error) {
 	// marginally violate Theorem 3's Σp ≤ T condition, voiding the
 	// zero-jitter guarantee by up to one epsilon of queueing per hyperperiod.
 	groups := make([][]int, n)
-	gmin := make([]Rational, n)  // min period per group
-	gproc := make([]*big.Rat, n) // Σ proc per group, exact
+	gmin := make([]Rational, n) // min period per group
+	gproc := make([]ProcSum, n) // Σ proc per group, exact
 	for _, oi := range idx {
 		si := order[oi]
 		s := streams[si]
 		placed := false
-		procR := ratFromFloat(s.Proc)
-		if procR == nil {
+		var proc ProcSum
+		if !proc.Add(s.Proc) {
 			return nil, fmt.Errorf("%w: stream video=%d sub=%d has non-finite p=%v",
 				ErrInfeasible, s.Video, s.Sub, s.Proc)
 		}
 		// A stream whose processing time exceeds its own period violates
 		// Const2 even alone; the caller should have split it (Section 3).
-		if procR.Cmp(s.Period.BigRat()) > 0 {
+		if !proc.LE(s.Period, 1) {
 			return nil, fmt.Errorf("%w: stream video=%d sub=%d has p=%.4fs > T=%s (split it first)",
 				ErrInfeasible, s.Video, s.Sub, s.Proc, s.Period)
 		}
@@ -153,14 +125,18 @@ func GroupStreams(streams []Stream, n int) ([][]int, error) {
 			if len(groups[j]) == 0 {
 				groups[j] = append(groups[j], si)
 				gmin[j] = s.Period
-				gproc[j] = new(big.Rat).Set(procR)
+				gproc[j] = proc
 				placed = true
 				break
 			}
-			if s.Period.IsMultipleOf(gmin[j]) &&
-				new(big.Rat).Add(gproc[j], procR).Cmp(gmin[j].BigRat()) <= 0 {
+			if !s.Period.IsMultipleOf(gmin[j]) {
+				continue
+			}
+			trial := gproc[j]
+			trial.AddSum(proc)
+			if trial.LE(gmin[j], 1) {
 				groups[j] = append(groups[j], si)
-				gproc[j].Add(gproc[j], procR)
+				gproc[j] = trial
 				placed = true
 				break
 			}
@@ -279,45 +255,41 @@ func hetero(servers []cluster.Server) bool {
 // class too slow to run it without self-queueing. Servers at speed 1 are
 // skipped: the grouping phase already enforced Σp ≤ gcd there.
 func maskSpeedInfeasible(cost [][]float64, groups [][]int, streams []Stream, servers []cluster.Server) {
-	sums := make([]*big.Rat, len(groups))
-	gcds := make([]Rational, len(groups))
+	sums := make([]ProcSum, len(groups))
+	gcds := make([]Rational, len(groups)) // zero for empty or unverifiable groups
 	for g, members := range groups {
-		if len(members) == 0 {
+		sum, ok := sumProcs(streams, members)
+		if !ok {
 			continue
 		}
-		sum := new(big.Rat)
 		var gcd Rational
-		finite := true
 		for _, si := range members {
-			p := ratFromFloat(streams[si].Proc)
-			if p == nil {
-				finite = false
-				break
-			}
-			sum.Add(sum, p)
 			gcd = RatGCD(gcd, streams[si].Period)
 		}
-		if finite {
-			sums[g], gcds[g] = sum, gcd
-		}
+		sums[g], gcds[g] = sum, gcd
 	}
-	budget := new(big.Rat)
 	for j, srv := range servers {
 		spd := srv.Speed()
 		if spd == 1 {
 			continue
 		}
-		spdR := ratFromFloat(spd)
 		for g := range groups {
-			if sums[g] == nil {
-				continue
-			}
-			budget.Mul(gcds[g].BigRat(), spdR)
-			if sums[g].Cmp(budget) > 0 {
+			if gcds[g].Num != 0 && !sums[g].LE(gcds[g], spd) {
 				cost[g][j] = math.Inf(1)
 			}
 		}
 	}
+}
+
+// sumProcs returns the exact Σ proc over members; ok=false on a non-finite
+// processing time.
+func sumProcs(streams []Stream, members []int) (sum ProcSum, ok bool) {
+	for _, si := range members {
+		if !sum.Add(streams[si].Proc) {
+			return ProcSum{}, false
+		}
+	}
+	return sum, true
 }
 
 // MapGroups runs line 20 of Algorithm 1: assign groups to servers with the
@@ -443,7 +415,7 @@ func CheckConst1Servers(streams []Stream, streamServer []int, servers []cluster.
 		if j < 0 || j >= n {
 			return false
 		}
-		u := ratFromFloat(s.Proc)
+		u := new(big.Rat).SetFloat64(s.Proc)
 		if u == nil {
 			return false
 		}
@@ -458,11 +430,7 @@ func CheckConst1Servers(streams []Stream, streamServer []int, servers []cluster.
 		if l == nil {
 			continue
 		}
-		budget := ratOne
-		if spd := servers[j].Speed(); spd != 1 {
-			budget = ratFromFloat(spd)
-		}
-		if l.Cmp(budget) > 0 {
+		if l.Cmp(new(big.Rat).SetFloat64(servers[j].Speed())) > 0 {
 			return false
 		}
 	}
@@ -479,21 +447,15 @@ func CheckConst1Servers(streams []Stream, streamServer []int, servers []cluster.
 // zero-jitter latency claim (Theorems 1–3).
 func CheckConst2Servers(streams []Stream, streamServer []int, servers []cluster.Server) bool {
 	n := len(servers)
-	procSum := make([]*big.Rat, n)
+	procSum := make([]ProcSum, n)
 	gcds := make([]Rational, n)
 	for i, s := range streams {
 		j := streamServer[i]
 		if j < 0 || j >= n {
 			return false
 		}
-		p := ratFromFloat(s.Proc)
-		if p == nil {
+		if !procSum[j].Add(s.Proc) {
 			return false
-		}
-		if procSum[j] == nil {
-			procSum[j] = p
-		} else {
-			procSum[j].Add(procSum[j], p)
 		}
 		gcds[j] = RatGCD(gcds[j], s.Period)
 	}
@@ -501,11 +463,7 @@ func CheckConst2Servers(streams []Stream, streamServer []int, servers []cluster.
 		if gcds[j].Num == 0 {
 			continue // empty server
 		}
-		budget := gcds[j].BigRat()
-		if spd := servers[j].Speed(); spd != 1 {
-			budget.Mul(budget, ratFromFloat(spd))
-		}
-		if procSum[j].Cmp(budget) > 0 {
+		if !procSum[j].LE(gcds[j], servers[j].Speed()) {
 			return false
 		}
 	}

@@ -116,7 +116,6 @@ type cellScratch struct {
 	idx     int   // the cell's index — the commit order key
 	global  []int // stream indices owned by the cell
 	local   []sched.Stream
-	sc      fitScratch
 	prop    Proposal
 	retries int
 	pending bool
@@ -378,7 +377,7 @@ func (p *Planner) propose(cell *cellScratch, streams []sched.Stream, snap *sched
 			cl.Members[k] = cell.global[li]
 			s := &cell.local[li]
 			gcd = sched.RatGCD(gcd, s.Period)
-			if !cl.Sum.addFloat(s.Proc, &cell.sc.tmp) {
+			if !cl.Sum.Add(s.Proc) {
 				cell.stuck = true
 				return
 			}
@@ -464,7 +463,7 @@ func (p *Planner) assign(cell *cellScratch, cols []int, snap *sched.Snapshot) bo
 			// breaking the termination argument.
 			occupied := p.arb.states[j].claims > 0 || p.arb.speed(j) < 1
 			switch {
-			case occupied && !p.arb.fits(j, cl.GCD, &cl.Sum, &cell.sc):
+			case occupied && !p.arb.Fits(j, cl.GCD, cl.Sum):
 				row[ci] = math.Inf(1)
 			case p.uplinks[j] > 0:
 				row[ci] = cl.Bits / p.uplinks[j]

@@ -110,39 +110,45 @@ func TestPartitionVideosBalance(t *testing.T) {
 	}
 }
 
-// TestDyadicExactness pins the exact accumulator against big.Rat, including
-// the budget boundary: a sum exactly equal to the budget fits, one ULP of
-// the smallest contribution above it does not.
+// TestDyadicExactness pins the claims' exact accumulator against big.Rat,
+// including the budget boundary: a sum exactly equal to the budget fits,
+// one ULP of the smallest contribution above it does not.
 func TestDyadicExactness(t *testing.T) {
-	var d dyadic
-	var tmp big.Int
+	var d sched.ProcSum
 	ref := new(big.Rat)
 	vals := []float64{1.0 / 3.0, 0.1, 2.5e-3, 1e-9, 0.031}
 	for _, v := range vals {
-		if !d.addFloat(v, &tmp) {
-			t.Fatalf("addFloat(%v) rejected a finite value", v)
+		if !d.Add(v) {
+			t.Fatalf("Add(%v) rejected a finite value", v)
 		}
 		ref.Add(ref, new(big.Rat).SetFloat64(v))
 	}
-	got := new(big.Rat).SetFrac(new(big.Int).Set(&d.num), new(big.Int).Lsh(big.NewInt(1), d.shift))
-	if got.Cmp(ref) != 0 {
-		t.Fatalf("dyadic sum %v, big.Rat reference %v", got, ref)
+	// The exact sum sits between ⌊ref·den⌋/den and the next step up; LE
+	// must agree with big.Rat on both sides, on every grid.
+	for _, den := range []int64{1, 1000, 999983, 1 << 40, 1e15 + 37} {
+		bound := new(big.Int).Quo(new(big.Int).Mul(ref.Num(), big.NewInt(den)), ref.Denom())
+		for _, num := range []int64{bound.Int64(), bound.Int64() + 1} {
+			budget := sched.Rational{Num: num, Den: den}
+			want := ref.Cmp(big.NewRat(num, den)) <= 0
+			if got := d.LE(budget, 1); got != want {
+				t.Fatalf("sum ≤ %v: got %v, big.Rat reference %v says %v", budget, got, ref, want)
+			}
+		}
 	}
 
 	// Boundary: budget exactly equal to the sum of two halves.
-	var e dyadic
-	e.addFloat(0.25, &tmp)
-	e.addFloat(0.25, &tmp)
-	var sc fitScratch
-	if !e.withinBudget(sched.Rational{Num: 1, Den: 2}, &sc) {
+	var e sched.ProcSum
+	e.Add(0.25)
+	e.Add(0.25)
+	if !e.LE(sched.Rational{Num: 1, Den: 2}, 1) {
 		t.Fatal("sum exactly at budget must fit")
 	}
-	e.addFloat(5e-324, &tmp) // smallest positive subnormal
-	if e.withinBudget(sched.Rational{Num: 1, Den: 2}, &sc) {
+	e.Add(5e-324) // smallest positive subnormal
+	if e.LE(sched.Rational{Num: 1, Den: 2}, 1) {
 		t.Fatal("one subnormal above budget must not fit")
 	}
-	if d.addFloat(math.NaN(), &tmp) {
-		t.Fatal("addFloat must reject NaN")
+	if d.Add(math.NaN()) {
+		t.Fatal("Add must reject NaN")
 	}
 }
 
@@ -150,12 +156,11 @@ func TestDyadicExactness(t *testing.T) {
 func claimOf(t *testing.T, streams []sched.Stream, members []int, server int) Claim {
 	t.Helper()
 	var cl Claim
-	var tmp big.Int
 	cl.Server = server
 	for _, i := range members {
 		cl.Members = append(cl.Members, i)
 		cl.GCD = sched.RatGCD(cl.GCD, streams[i].Period)
-		if !cl.Sum.addFloat(streams[i].Proc, &tmp) {
+		if !cl.Sum.Add(streams[i].Proc) {
 			t.Fatalf("stream %d: non-finite proc", i)
 		}
 		cl.Bits += streams[i].Bits
